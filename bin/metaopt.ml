@@ -158,9 +158,10 @@ let chunk_max =
 let no_fast_sim =
   Arg.(value & flag
        & info [ "no-fast-sim" ]
-           ~doc:"Disable the simulation fast paths (artifact-keyed result \
-                 sharing, trace replay, pre-decoded interpreter) and \
-                 measure every candidate with a fresh reference-engine \
+           ~doc:"Disable the evaluation fast paths (artifact-keyed result \
+                 sharing, trace replay, pre-decoded interpreter, \
+                 compile-prefix snapshots): compile every candidate from \
+                 scratch and measure it with a fresh reference-engine \
                  simulation.  Results are bit-identical either way; this \
                  flag only trades speed for the golden slow path")
 

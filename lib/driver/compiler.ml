@@ -20,13 +20,34 @@ let baseline ?(prefetch = false) () : heuristics =
     sched_priority = Sched.Priority.baseline_expr;
   }
 
+(* The passes before scheduling, in pipeline order, that a compile-prefix
+   snapshot can stop after. *)
+type stage = Through_hyperblock | Through_regalloc
+
+(* The program after a leading run of passes whose heuristics a study
+   holds fixed, with those passes' statistics and everything their output
+   depended on. *)
+type snapshot = {
+  sn_upto : stage;
+  sn_machine : Machine.Config.t;
+  sn_hb_config : Hyperblock.Form.config;
+  sn_compiled_eval : bool;
+  sn_heuristics : heuristics;
+  sn_prog : Ir.Func.program;
+  sn_prefetches : Prefetch.Insert.stats;
+  sn_hb_stats : Hyperblock.Form.stats;
+  sn_spills : int;  (* 0 when [sn_upto] stops before regalloc *)
+}
+
 (* A benchmark after the heuristic-independent work: lowering, scalar
    optimization, and profiling on the training dataset.  Shared across all
-   candidate heuristics via copy-on-compile. *)
+   candidate heuristics: each compile copies [optimized], or the
+   snapshot's program when one applies. *)
 type prepared = {
   bench : Benchmarks.Bench.t;
   optimized : Ir.Func.program;
   prof : Profile.Prof.t;
+  snapshot : snapshot option;
 }
 
 let prepare ?(opt_config = Opt.Pipeline.default) (bench : Benchmarks.Bench.t) :
@@ -37,7 +58,7 @@ let prepare ?(opt_config = Opt.Pipeline.default) (bench : Benchmarks.Bench.t) :
   let prof =
     Profile.Prof.collect ~overrides:bench.Benchmarks.Bench.train layout
   in
-  { bench; optimized = prog; prof }
+  { bench; optimized = prog; prof; snapshot = None }
 
 type compiled = {
   prog : Ir.Func.program;
@@ -48,10 +69,17 @@ type compiled = {
   prefetches : Prefetch.Insert.stats;
 }
 
-let compile ?(hb_config = Hyperblock.Form.default_config)
-    ?(compiled_eval = true) ~(machine : Machine.Config.t)
-    ~(heuristics : heuristics) (p : prepared) : compiled =
-  let compiled = compiled_eval in
+let run_regalloc ~compiled ~machine (heuristics : heuristics) prog =
+  Regalloc.Alloc.run
+    ~savings_batch:
+      (Regalloc.Alloc.savings_batch_of_expr ~compiled heuristics.ra_savings)
+    ~machine prog
+
+(* The passes before scheduling, on a fresh copy of [p.optimized]:
+   program, prefetch stats, hyperblock stats, spills (0 when [upto] stops
+   before regalloc). *)
+let run_prefix ~hb_config ~compiled ~machine ~(heuristics : heuristics)
+    ~upto (p : prepared) =
   let prog = Ir.Func.copy_program p.optimized in
   (* Prefetch insertion runs first (mirroring ORC, where prefetching is an
      early loop-nest phase): induction-variable analysis sees clean loop
@@ -75,10 +103,66 @@ let compile ?(hb_config = Hyperblock.Form.default_config)
       ~priority:heuristics.hb_priority prog
   in
   let spills =
-    Regalloc.Alloc.run
-      ~savings_batch:
-        (Regalloc.Alloc.savings_batch_of_expr ~compiled heuristics.ra_savings)
-      ~machine prog
+    match upto with
+    | Through_hyperblock -> 0
+    | Through_regalloc -> run_regalloc ~compiled ~machine heuristics prog
+  in
+  (prog, prefetches, hb_stats, spills)
+
+let with_snapshot ?(compiled_eval = true) ~(machine : Machine.Config.t)
+    ~(heuristics : heuristics) ~(upto : stage) (p : prepared) : prepared =
+  let hb_config = Hyperblock.Form.default_config in
+  let prog, prefetches, hb_stats, spills =
+    run_prefix ~hb_config ~compiled:compiled_eval ~machine ~heuristics ~upto p
+  in
+  {
+    p with
+    snapshot =
+      Some
+        {
+          sn_upto = upto;
+          sn_machine = machine;
+          sn_hb_config = hb_config;
+          sn_compiled_eval = compiled_eval;
+          sn_heuristics = heuristics;
+          sn_prog = prog;
+          sn_prefetches = prefetches;
+          sn_hb_stats = hb_stats;
+          sn_spills = spills;
+        };
+  }
+
+(* A snapshot stands in for its prefix only when everything that prefix
+   read is structurally equal to what this compile would feed it. *)
+let reusable s ~hb_config ~compiled_eval ~machine ~(heuristics : heuristics) =
+  let h = s.sn_heuristics in
+  s.sn_compiled_eval = compiled_eval
+  && s.sn_machine = machine
+  && s.sn_hb_config = hb_config
+  && h.pf_confidence = heuristics.pf_confidence
+  && h.hb_priority = heuristics.hb_priority
+  && (s.sn_upto = Through_hyperblock || h.ra_savings = heuristics.ra_savings)
+
+let compile ?(hb_config = Hyperblock.Form.default_config)
+    ?(compiled_eval = true) ~(machine : Machine.Config.t)
+    ~(heuristics : heuristics) (p : prepared) : compiled =
+  let compiled = compiled_eval in
+  let prog, prefetches, hb_stats, spills =
+    match p.snapshot with
+    | Some s when reusable s ~hb_config ~compiled_eval ~machine ~heuristics ->
+      (* Fresh register, predicate and instruction ids come from
+         per-function counters that [copy_program] copies, so the suffix
+         sees exactly the ids a from-scratch compile would hand it. *)
+      let prog = Ir.Func.copy_program s.sn_prog in
+      let spills =
+        match s.sn_upto with
+        | Through_regalloc -> s.sn_spills
+        | Through_hyperblock -> run_regalloc ~compiled ~machine heuristics prog
+      in
+      (prog, s.sn_prefetches, s.sn_hb_stats, spills)
+    | Some _ | None ->
+      run_prefix ~hb_config ~compiled ~machine ~heuristics
+        ~upto:Through_regalloc p
   in
   (* The baseline ranking skips the expression interpreter. *)
   let sched_pri =

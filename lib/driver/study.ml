@@ -240,6 +240,41 @@ let speedup_against ?compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
   else if cycles <= 0.0 then 0.0
   else base_cycles /. cycles
 
+(* The leading passes a study never varies: every candidate runs them
+   with the baseline heuristics.  The hyperblock and prefetch studies
+   evolve the first pass that does any work, so they have none. *)
+let fixed_prefix_of = function
+  | Sched_study -> Some Compiler.Through_regalloc
+  | Regalloc_study -> Some Compiler.Through_hyperblock
+  | Hyperblock_study | Prefetch_study -> None
+
+(* The one preparation path of local contexts and daemon services, so a
+   served evaluation compiles from exactly what a local one would.  The
+   prefetching study compiles without unrolling (ORC's prefetch phase
+   runs on clean loop nests; unrolled loops defeat the induction-variable
+   analysis exactly as they would ORC's).  With the fast paths on, each
+   benchmark also gets its compile-prefix snapshot, built here — in the
+   parent, before any pool exists — so fork workers inherit it and
+   domains share it read-only. *)
+let prepare_all ~fast_sim ~compiled_eval ~kind ~machine bench_names =
+  let opt_config =
+    match kind with
+    | Prefetch_study -> Opt.Pipeline.no_unroll
+    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
+  in
+  let heuristics = heuristics_with kind (baseline_genome_of kind) in
+  Array.of_list
+    (List.map
+       (fun n ->
+         let p = Compiler.prepare ~opt_config (Benchmarks.Registry.find n) in
+         match fixed_prefix_of kind with
+         | Some upto when fast_sim ->
+           Gp.Telemetry.span "study.prefix_s" (fun () ->
+               Compiler.with_snapshot ~compiled_eval ~machine ~heuristics
+                 ~upto p)
+         | Some _ | None -> p)
+       bench_names)
+
 let dataset_name = function
   | Benchmarks.Bench.Train -> "train"
   | Benchmarks.Bench.Novel -> "novel"
@@ -264,16 +299,8 @@ let service_of ?machine:machine_override ?(fast_sim = true)
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
   let sim = Simcache.create ~enabled:fast_sim () in
-  let opt_config =
-    match kind with
-    | Prefetch_study -> Opt.Pipeline.no_unroll
-    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
-  in
   let prepared =
-    Array.of_list
-      (List.map
-         (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
-         bench_names)
+    prepare_all ~fast_sim ~compiled_eval ~kind ~machine bench_names
   in
   let base = baseline_genome_of kind in
   let baseline_for dataset =
@@ -307,19 +334,9 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
   let machine = Option.value ~default:(machine_of kind) cfg.machine in
   let compiled_eval = cfg.compiled_eval in
   let sim = Simcache.create ~enabled:cfg.fast_sim () in
-  (* The prefetching study compiles without unrolling (ORC's prefetch
-     phase runs on clean loop nests; unrolled loops defeat the
-     induction-variable analysis exactly as they would ORC's). *)
-  let opt_config =
-    match kind with
-    | Prefetch_study -> Opt.Pipeline.no_unroll
-    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
-  in
   let prepared =
-    Array.of_list
-      (List.map
-         (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
-         bench_names)
+    prepare_all ~fast_sim:cfg.fast_sim ~compiled_eval ~kind ~machine
+      bench_names
   in
   let base = baseline_genome_of kind in
   let remote_h =
@@ -508,11 +525,15 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
         ("faults_gave_up", Gp.Telemetry.Int f.gave_up);
         ("faults_retried", Gp.Telemetry.Int f.retried);
         (* Where the sequential-path time went: heuristic-dependent
-           compilation vs full simulation vs trace replay, plus the
-           simulation-sharing counters. *)
+           compilation, the one-time compile prefixes it starts from,
+           full simulation and trace replay, plus the simulation-sharing
+           counters. *)
         ( "compile_s",
           Gp.Telemetry.Float
             (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.compile_s")) );
+        ( "prefix_s",
+          Gp.Telemetry.Float
+            (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.prefix_s")) );
         ( "simulate_s",
           Gp.Telemetry.Float
             (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.simulate_s")) );

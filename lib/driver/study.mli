@@ -33,6 +33,13 @@ val noise_of : kind -> float option
 val heuristics_with : kind -> Gp.Expr.genome -> Compiler.heuristics
 (** @raise Invalid_argument on a genome of the wrong sort. *)
 
+val fixed_prefix_of : kind -> Compiler.stage option
+(** The leading passes every candidate of the study runs with baseline
+    heuristics, which its contexts snapshot once per benchmark (see
+    {!Compiler.with_snapshot}) while [fast_sim] is on: through regalloc
+    for the sched study, through hyperblock formation for the regalloc
+    study, none for the hyperblock and prefetch studies. *)
+
 (** One record for everything an experiment run shares: GP scale, machine
     override, {!Gp.Parmap} pool shape, caches, supervision, and the two
     reference-vs-fast switches.  Build it in one place (the CLI does) and
@@ -55,7 +62,8 @@ type config = {
           (see {!Gp.Parmap.pool}); [None] = the pool's default *)
   chunk_min : int option;        (** chunk-length floor; [None] = default *)
   chunk_max : int option;        (** chunk-length ceiling; [None] = default *)
-  fast_sim : bool;               (** {!Simcache} fast paths, default on *)
+  fast_sim : bool;
+      (** {!Simcache} fast paths and compile-prefix snapshots, default on *)
   compiled_eval : bool;
       (** evaluate heuristic expressions through the {!Gp.Evalc} bytecode
           compiler (default) rather than the {!Gp.Eval} tree-walker;
@@ -110,9 +118,10 @@ type service = {
 val service_of :
   ?machine:Machine.Config.t -> ?fast_sim:bool -> ?compiled_eval:bool ->
   kind -> string list -> service
-(** Prepare the benchmarks, compute sequential baselines on both
-    datasets, and return the exact evaluation pipeline a local context's
-    engines would dispatch.  Genomes passed to [svc_eval] must already be
+(** Prepare the benchmarks (through the same path as {!create_with},
+    compile-prefix snapshots included), compute sequential baselines on
+    both datasets, and return the exact evaluation pipeline a local
+    context's engines would dispatch.  Genomes passed to [svc_eval] must already be
     canonical (the client canonicalized before digesting); they are
     evaluated as given.  Safe to call lazily inside a pool worker — it
     spawns no pools of its own. *)
@@ -145,8 +154,10 @@ val create_with : config -> kind -> string list -> context
     ultimately scored 0 without poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
     artifact-keyed result sharing, trace replay, and the pre-decoded
-    interpreter; disabling it routes every measurement through a fresh
-    reference-engine simulation.  [compiled_eval] selects {!Gp.Evalc}
+    interpreter — and gives each benchmark the study's compile-prefix
+    snapshot ({!fixed_prefix_of}), built here before any pool starts;
+    disabling it compiles every candidate from scratch and routes every
+    measurement through a fresh reference-engine simulation.  [compiled_eval] selects {!Gp.Evalc}
     bytecode (default) versus the {!Gp.Eval} tree-walker for heuristic
     expressions.  Results are bit-identical across all of these
     switches. *)

@@ -125,6 +125,153 @@ let test_cross_validation () =
       Alcotest.(check (float 1e-9)) "baseline cross-validates to 1.0" 1.0 train)
     rows
 
+(* A compile that starts from a compile-prefix snapshot must produce the
+   artifact a from-scratch compile does, for every study's genomes.  The
+   hyperblock and prefetch studies get no snapshot from [Study], so they
+   are given a full-prefix one here: their non-baseline genomes differ
+   from it in a prefix slot and must take the fallback. *)
+let snapshot_cases =
+  let open Driver.Study in
+  [
+    ( Sched_study, [ "codrle4"; "decodrle4" ],
+      [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ] );
+    ( Regalloc_study, [ "codrle4"; "huff_enc" ],
+      [ "(sub 0.0 w)"; "(mul degree range_uses)"; "(sub loop_depth uses)" ] );
+    ( Hyperblock_study, [ "codrle4"; "decodrle4" ],
+      [ "(mul exec_ratio 2.0)"; "(sub num_ops dep_height)"; "(sub 0.0 1.0)" ]
+    );
+    ( Prefetch_study, [ "101.tomcatv"; "103.su2cor" ],
+      [ "true"; "false"; "(gt abs_stride 4.0)" ] );
+  ]
+
+let printed (c : Driver.Compiler.compiled) =
+  Format.asprintf "%a" Ir.Func.pp_program c.Driver.Compiler.prog
+
+let check_same_artifact what (a : Driver.Compiler.compiled)
+    (b : Driver.Compiler.compiled) =
+  let open Driver.Compiler in
+  Alcotest.(check string) (what ^ ": program") (printed a) (printed b);
+  Alcotest.(check (array int)) (what ^ ": schedule cycles") a.schedule_cycles
+    b.schedule_cycles;
+  Alcotest.(check bool) (what ^ ": hyperblock stats") true
+    (a.hb_stats = b.hb_stats);
+  Alcotest.(check int) (what ^ ": spills") a.spills b.spills;
+  Alcotest.(check bool) (what ^ ": prefetches") true
+    (a.prefetches = b.prefetches)
+
+let test_snapshot_equals_scratch () =
+  List.iter
+    (fun (kind, benches, exprs) ->
+      let open Driver.Study in
+      let machine = machine_of kind in
+      let fs = feature_set_of kind in
+      let genomes =
+        baseline_genome_of kind
+        :: List.map
+             (fun s ->
+               match sort_of kind with
+               | `Real -> Gp.Expr.Real (Gp.Sexp.parse_real fs s)
+               | `Bool -> Gp.Expr.Bool (Gp.Sexp.parse_bool fs s))
+             exprs
+      in
+      let upto =
+        Option.value ~default:Driver.Compiler.Through_regalloc
+          (fixed_prefix_of kind)
+      in
+      let opt_config =
+        if kind = Prefetch_study then Opt.Pipeline.no_unroll
+        else Opt.Pipeline.default
+      in
+      List.iter
+        (fun bench ->
+          let what = Printf.sprintf "%s/%s" (kind_name kind) bench in
+          let scratch =
+            Driver.Compiler.prepare ~opt_config (Benchmarks.Registry.find bench)
+          in
+          let snap =
+            Driver.Compiler.with_snapshot ~machine
+              ~heuristics:(heuristics_with kind (baseline_genome_of kind))
+              ~upto scratch
+          in
+          let snap_prog () =
+            match snap.Driver.Compiler.snapshot with
+            | Some s ->
+              Format.asprintf "%a" Ir.Func.pp_program s.Driver.Compiler.sn_prog
+            | None -> Alcotest.fail "with_snapshot left no snapshot"
+          in
+          let before = snap_prog () in
+          let compile heuristics p =
+            Driver.Compiler.compile ~machine ~heuristics p
+          in
+          List.iteri
+            (fun i g ->
+              let heuristics = heuristics_with kind g in
+              let what = Printf.sprintf "%s genome %d" what i in
+              let reference = compile heuristics scratch in
+              let first = compile heuristics snap in
+              check_same_artifact what first reference;
+              check_same_artifact (what ^ " twice") (compile heuristics snap)
+                first)
+            genomes;
+          (* A fixed slot that differs from the snapshot's must fall back
+             to the full pipeline. *)
+          let base = heuristics_with kind (baseline_genome_of kind) in
+          List.iteri
+            (fun i other ->
+              check_same_artifact
+                (Printf.sprintf "%s fallback %d" what i)
+                (compile other snap) (compile other scratch))
+            [
+              { base with
+                Driver.Compiler.hb_priority =
+                  Gp.Sexp.parse_real Hyperblock.Features.feature_set
+                    "(sub 0.0 1.0)" };
+              { base with
+                Driver.Compiler.ra_savings =
+                  Gp.Sexp.parse_real Regalloc.Features.feature_set
+                    "(sub 0.0 w)" };
+              { base with
+                Driver.Compiler.pf_confidence =
+                  (match base.Driver.Compiler.pf_confidence with
+                   | None -> Some Prefetch.Features.baseline_expr
+                   | Some _ -> None) };
+            ];
+          (* With nothing left to compile from, a matching compile can
+             only have started from the snapshot. *)
+          let emptied =
+            {
+              snap with
+              Driver.Compiler.optimized =
+                { snap.Driver.Compiler.optimized with Ir.Func.funcs = [] };
+            }
+          in
+          check_same_artifact (what ^ " reuses the prefix")
+            (compile base emptied) (compile base scratch);
+          Alcotest.(check string) (what ^ ": snapshot untouched") before
+            (snap_prog ()))
+        benches)
+    snapshot_cases;
+  (* The allocation slot of a through-regalloc snapshot, where register
+     pressure makes the allocation heuristic matter. *)
+  let machine = Machine.Config.table3_regalloc in
+  let scratch = Driver.Compiler.prepare (Benchmarks.Registry.find "huff_enc") in
+  let base = Driver.Compiler.baseline () in
+  let snap =
+    Driver.Compiler.with_snapshot ~machine ~heuristics:base
+      ~upto:Driver.Compiler.Through_regalloc scratch
+  in
+  let other =
+    { base with
+      Driver.Compiler.ra_savings =
+        Gp.Sexp.parse_real Regalloc.Features.feature_set "(sub 0.0 w)" }
+  in
+  let compile heuristics p = Driver.Compiler.compile ~machine ~heuristics p in
+  let fallback = compile other snap in
+  Alcotest.(check bool) "allocation heuristic matters" true
+    (printed fallback <> printed (compile base snap));
+  check_same_artifact "huff_enc regalloc fallback" fallback
+    (compile other scratch)
+
 let test_heuristics_file_roundtrip () =
   let h =
     {
@@ -200,6 +347,8 @@ let suite =
     Alcotest.test_case "miniature DSS evolution" `Slow
       test_tiny_general_purpose;
     Alcotest.test_case "cross validation" `Slow test_cross_validation;
+    Alcotest.test_case "compile-prefix snapshot equals scratch compile" `Slow
+      test_snapshot_equals_scratch;
     Alcotest.test_case "heuristics file round-trip" `Quick
       test_heuristics_file_roundtrip;
     Alcotest.test_case "heuristics file partial/off" `Quick

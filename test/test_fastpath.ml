@@ -140,28 +140,41 @@ let test_replay_equivalence () =
     study_cases
 
 (* A whole study context with fast paths on vs off: identical fitness for
-   baseline and non-trivial candidates. *)
+   baseline and non-trivial candidates.  Off also means no compile-prefix
+   snapshot, so the sched study (snapshot through regalloc) and the
+   regalloc study (through hyperblock formation) each compare the
+   snapshot's suffix compile against the full pipeline. *)
 let test_study_fast_vs_slow () =
-  let genomes =
-    Driver.Study.baseline_genome_of Driver.Study.Sched_study
-    :: List.map
-         (fun s ->
-           Gp.Expr.Real (Gp.Sexp.parse_real Sched.Priority.feature_set s))
-         [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ]
+  let cases =
+    [
+      ( Driver.Study.Sched_study, "codrle4",
+        [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ] );
+      ( Driver.Study.Regalloc_study, "huff_enc",
+        [ "(sub 0.0 w)"; "(mul degree range_uses)"; "(sub loop_depth uses)" ] );
+    ]
   in
-  let measure ~fast_sim =
-    let ctx =
-      Driver.Study.create ~fast_sim Driver.Study.Sched_study [ "codrle4" ]
-    in
-    List.map
-      (fun g ->
-        Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train)
-      genomes
-  in
-  let fast = measure ~fast_sim:true and slow = measure ~fast_sim:false in
-  List.iteri
-    (fun i (f, s) -> check_bits (Printf.sprintf "genome %d" i) f s)
-    (List.combine fast slow)
+  List.iter
+    (fun (kind, bench, exprs) ->
+      let fs = Driver.Study.feature_set_of kind in
+      let genomes =
+        Driver.Study.baseline_genome_of kind
+        :: List.map (fun s -> Gp.Expr.Real (Gp.Sexp.parse_real fs s)) exprs
+      in
+      let measure ~fast_sim =
+        let ctx = Driver.Study.create ~fast_sim kind [ bench ] in
+        List.map
+          (fun g ->
+            Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train)
+          genomes
+      in
+      let fast = measure ~fast_sim:true and slow = measure ~fast_sim:false in
+      List.iteri
+        (fun i (f, s) ->
+          check_bits
+            (Printf.sprintf "%s genome %d" (Driver.Study.kind_name kind) i)
+            f s)
+        (List.combine fast slow))
+    cases
 
 (* The compiled-eval golden path: a study context with Evalc on vs off
    (the [--no-compiled-eval] tree-walker reference) must score every

@@ -283,6 +283,35 @@ let test_cache_record () =
       Alcotest.(check int) "stats memo hits" 2 cs.Driver.Evaluator.memo_hits;
       Alcotest.(check int) "stats misses" 2 cs.Driver.Evaluator.misses)
 
+(* The one-time compile-prefix build moved out of the per-candidate
+   compiles; run_summary still accounts for it, as [prefix_s]. *)
+let test_run_summary_prefix () =
+  let prefix_s ~fast_sim =
+    with_memory_sink (fun records ->
+        T.reset ();
+        ignore
+          (Driver.Study.specialize_with
+             { Driver.Study.default_config with
+               Driver.Study.params = Gp.Params.tiny;
+               backend = `Seq;
+               fast_sim }
+             Driver.Study.Sched_study "codrle4");
+        match
+          List.filter
+            (fun j -> T.member "kind" j = Some (T.String "run_summary"))
+            (records ())
+        with
+        | [ r ] -> (
+          match T.member "prefix_s" r with
+          | Some (T.Float s) -> s
+          | _ -> Alcotest.fail "prefix_s missing")
+        | rs -> Alcotest.failf "expected 1 run_summary, got %d" (List.length rs))
+  in
+  Alcotest.(check bool) "prefix built once, timed" true
+    (prefix_s ~fast_sim:true > 0.0);
+  Alcotest.(check (float 0.0)) "no prefix without fast paths" 0.0
+    (prefix_s ~fast_sim:false)
+
 let suite =
   [
     Alcotest.test_case "disabled sink is a no-op" `Quick test_disabled_is_noop;
@@ -296,4 +325,6 @@ let suite =
       test_telemetry_does_not_perturb;
     Alcotest.test_case "pool record" `Quick test_pool_record;
     Alcotest.test_case "cache record" `Quick test_cache_record;
+    Alcotest.test_case "run summary reports the compile prefix" `Quick
+      test_run_summary_prefix;
   ]
