@@ -997,6 +997,22 @@ let wait_status pid =
   | _, status -> Some status
   | exception Unix.Unix_error _ -> None
 
+(* The parent-side pipe ends of every live fork slot, across all pools.
+   A freshly forked child closes every one of them: a child that kept
+   another pool's task pipe open would stop that pool's idle workers
+   from ever reading EOF, and its shutdown would wait out the grace
+   period and SIGKILL them.  Slots are only spawned and retired from the
+   main domain (fork is refused once domains have run, and nothing here
+   uses threads), so the table needs no lock. *)
+let live_fds : (Unix.file_descr, unit) Hashtbl.t = Hashtbl.create 16
+
+let close_slot_fds slot =
+  List.iter
+    (fun fd ->
+      Hashtbl.remove live_fds fd;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    [ slot.s_to; slot.s_from ]
+
 (* The worker loop run in each forked child: read one chunk, evaluate
    its members in order streaming one flushed reply each — so the parent
    sees progress (and can reset the deadline) per task, not per chunk —
@@ -1044,22 +1060,21 @@ let fork_spawn_into st slot =
   | 0 ->
     (* The child inherits the parent's sink descriptor; writing to it
        would interleave torn lines into the parent's stream.  It also
-       inherits the other slots' pipe ends, which would keep dead
-       siblings' pipes open — close them all. *)
+       inherits every live slot's parent-side pipe ends, this pool's and
+       every other's, which would keep those pipes open — close them
+       all. *)
     Telemetry.set_sink None;
     Unix.close t_w;
     Unix.close r_r;
-    Array.iter
-      (fun s ->
-        if s != slot && s.s_alive then begin
-          (try Unix.close s.s_to with Unix.Unix_error _ -> ());
-          (try Unix.close s.s_from with Unix.Unix_error _ -> ())
-        end)
-      st.k_slots;
+    Hashtbl.iter
+      (fun fd () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      live_fds;
     fork_child_loop st.k_f t_r r_w
   | pid ->
     Unix.close t_r;
     Unix.close r_w;
+    Hashtbl.replace live_fds t_w ();
+    Hashtbl.replace live_fds r_r ();
     slot.s_pid <- pid;
     slot.s_to <- t_w;
     slot.s_from <- r_r;
@@ -1114,41 +1129,55 @@ let init_fork (p : pool) f =
    Used on worker death and deadline kills; the slot is left dead for
    [fork_spawn_into] to repopulate. *)
 let retire_slot slot =
-  (try Unix.close slot.s_to with Unix.Unix_error _ -> ());
-  (try Unix.close slot.s_from with Unix.Unix_error _ -> ());
+  close_slot_fds slot;
   slot.s_alive <- false;
   slot.s_busy <- false;
   Buffer.clear slot.s_buf;
   wait_status slot.s_pid
 
+(* Closing the task pipes EOFs the idle children's blocking reads; they
+   exit on their own, all at once.  A child that does not (wedged in a
+   task no batch is waiting on) is killed after a short grace.  The
+   [parmap.shutdown_kills] counter and the [pool_shutdown] record count
+   those kills (a clean run reads 0); the record also counts the
+   workers that exited with status 0. *)
 let shutdown_fork st =
-  Array.iter
+  let tel = Telemetry.enabled () in
+  let t_start = if tel then Telemetry.now_s () else 0.0 in
+  let live = List.filter (fun s -> s.s_alive) (Array.to_list st.k_slots) in
+  List.iter
     (fun s ->
-      if s.s_alive then begin
-        s.s_alive <- false;
-        (* Closing the task pipe EOFs the idle child's blocking read; it
-           exits on its own.  A child that does not (wedged in a task no
-           batch is waiting on) is killed after a short grace. *)
-        (try Unix.close s.s_to with Unix.Unix_error _ -> ());
-        (try Unix.close s.s_from with Unix.Unix_error _ -> ());
-        let rec wait tries =
-          match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.s_pid) with
-          | 0, _ ->
-            if tries > 0 then begin
-              (try Unix.sleepf 0.01
-               with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-              wait (tries - 1)
-            end
-            else begin
-              (try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (wait_status s.s_pid)
-            end
-          | _ -> ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        wait 50
-      end)
-    st.k_slots
+      s.s_alive <- false;
+      close_slot_fds s)
+    live;
+  let kills = ref 0 and clean = ref 0 in
+  let rec wait s tries =
+    match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.s_pid) with
+    | 0, _ ->
+      if tries > 0 then begin
+        (try Unix.sleepf 0.01 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        wait s (tries - 1)
+      end
+      else begin
+        incr kills;
+        (try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (wait_status s.s_pid)
+      end
+    | _, Unix.WEXITED 0 -> incr clean
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  List.iter (fun s -> wait s 50) live;
+  if tel && live <> [] then begin
+    Telemetry.incr ~by:!kills "parmap.shutdown_kills";
+    Telemetry.emit ~kind:"pool_shutdown"
+      [
+        ("workers", Telemetry.Int (List.length live));
+        ("clean_exits", Telemetry.Int !clean);
+        ("kills", Telemetry.Int !kills);
+        ("wall_s", Telemetry.Float (Telemetry.now_s () -. t_start));
+      ]
+  end
 
 let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
   let n = Array.length xs in
@@ -1394,7 +1423,12 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
        Guarded by the cost estimate (no steal before a chunk is ~4
        expected tasks late) so healthy in-progress chunks are not
        duplicated, and [s_dup] keeps any chunk from being stolen
-       twice. *)
+       twice.  Only a chunk with a member queued behind the executing
+       one is a victim: a lone executing member is left to its worker
+       (and its deadline).  A copy started later cannot reply first
+       unless that worker is stalled, and the losing copy's worker is
+       recycled at the end of the batch, so the steal would only throw
+       away a warm worker. *)
     if Queue.is_empty ready && !delayed = [] && !remaining > 0 then begin
       let idle =
         Array.fold_left
@@ -1414,7 +1448,7 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
             (fun acc s ->
               if
                 s.s_busy && (not s.s_dup)
-                && Array.length s.s_tasks > s.s_done
+                && Array.length s.s_tasks > s.s_done + 1
                 && t -. s.s_last > late
               then
                 match acc with

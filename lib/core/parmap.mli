@@ -237,8 +237,10 @@ val run_supervised :
     {!pool.chunk_target_ms} and rebalance stragglers: [`Domains]
     workers steal the younger half of the fullest sibling deque when
     their own runs dry, and the [`Fork] parent re-dispatches the
-    unfinished remainder of the slowest chunk to an idle worker (first
-    reply per task wins, duplicates are discarded by task id).
+    unfinished remainder of the slowest chunk to an idle worker when a
+    member is still queued behind the executing one (first reply per
+    task wins, duplicates are discarded by task id; a lone executing
+    member is left to its worker and its deadline).
     Supervision stays per task: deadlines reset member by member, a
     failure re-splits only the affected chunk, and retry attempt
     numbers are preserved across re-splits.  Deterministic for pure

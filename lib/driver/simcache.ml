@@ -30,10 +30,21 @@
    different key and a full simulation.  Noise is *never* stored —
    callers layer the per-genome jitter on top (Simulate.jittered).
 
-   In a forked worker pool the tables fill in the parent (baseline
-   measurement during Study.create) and are inherited read-only through
-   fork; worker-side inserts die with the worker.  Hit rates drop but
-   results cannot diverge, so bit-identity holds at any -j.
+   Recording is not free (up to 2^23 events, 64 MB, per run), so it is
+   switched off with [max_traces = 0]: a miss is then a plain
+   [Simulate.run], bit-identical to the traced run, and nothing is
+   stored.  Study turns it off for every study whose evolved pass
+   rewrites the program — the program is part of the trace key, so
+   those studies never replay.  Only the scheduling study records.
+
+   In a forked worker pool the tables fill in the parent and are
+   inherited read-only through fork; worker-side inserts die with the
+   worker.  The baselines are measured before the evaluation pools fork,
+   possibly in a throwaway pool of their own; each measurement comes
+   back with its artifact key and the parent [import]s it, so every
+   evaluation worker starts with the baseline artifacts in its table.
+   Hit rates drop but results cannot diverge, so bit-identity holds at
+   any -j.
 
    In a domains pool the tables are shared memory, so every table and
    stats access goes through one mutex.  Simulation and replay run
@@ -45,6 +56,7 @@ type stats = {
   mutable artifact_hits : int;
   mutable replays : int;
   mutable simulations : int;  (* full interpreter runs *)
+  mutable traced : int;  (* of which recorded their event stream *)
 }
 
 type t = {
@@ -73,7 +85,7 @@ let create ?(enabled = true) ?(max_artifacts = 8192) ?(max_traces = 8)
     artifacts = Hashtbl.create 256;
     traces = Hashtbl.create 8;
     trace_order = [];
-    stats = { artifact_hits = 0; replays = 0; simulations = 0 };
+    stats = { artifact_hits = 0; replays = 0; simulations = 0; traced = 0 };
     lock = Mutex.create ();
   }
 
@@ -158,15 +170,20 @@ let store_trace t key tr =
      keeps the invariant local instead of relying on the caller. *)
   if not (Machine.Trace.complete tr) then
     invalid_arg "Simcache.store_trace: incomplete trace";
-  if Hashtbl.length t.traces >= t.max_traces then begin
-    match List.rev t.trace_order with
-    | [] -> ()
-    | oldest :: _ ->
-      Hashtbl.remove t.traces oldest;
-      t.trace_order <- List.filter (fun k -> k <> oldest) t.trace_order
-  end;
-  Hashtbl.replace t.traces key tr;
-  t.trace_order <- key :: t.trace_order
+  if t.max_traces > 0 then begin
+    (* A re-stored key (two domains racing on one miss) replaces its
+       entry in place and moves to the front, evicting nothing. *)
+    let others = List.filter (fun k -> k <> key) t.trace_order in
+    let keep =
+      match List.rev others with
+      | oldest :: rest when List.length others >= t.max_traces ->
+        Hashtbl.remove t.traces oldest;
+        List.rev rest
+      | _ -> others
+    in
+    Hashtbl.replace t.traces key tr;
+    t.trace_order <- key :: keep
+  end
 
 let store_artifact t key res =
   if Hashtbl.length t.artifacts >= t.max_artifacts then
@@ -175,18 +192,22 @@ let store_artifact t key res =
     Hashtbl.reset t.artifacts;
   Hashtbl.replace t.artifacts key res
 
-(* One noise-free measurement of a compiled artifact, through the fast
-   paths when enabled; with [enabled = false] every call is a fresh
-   reference-engine simulation (the golden slow path). *)
-let simulate (t : t) ~(machine : Machine.Config.t)
+let import t key res = locked t (fun () -> store_artifact t key res)
+
+(* One noise-free measurement of a compiled artifact and its artifact
+   key, through the fast paths when enabled; with [enabled = false] every
+   call is a fresh reference-engine simulation (the golden slow path)
+   and there is no key. *)
+let simulate_keyed (t : t) ~(machine : Machine.Config.t)
     ~(dataset : Benchmarks.Bench.dataset) (p : Compiler.prepared)
-    (c : Compiler.compiled) : Machine.Simulate.result =
+    (c : Compiler.compiled) : string option * Machine.Simulate.result =
   let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
   if not t.enabled then
-    Gp.Telemetry.span "study.simulate_s" (fun () ->
-        Machine.Simulate.run ~engine:`Reference ~config:machine
-          ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
-          c.Compiler.layout)
+    ( None,
+      Gp.Telemetry.span "study.simulate_s" (fun () ->
+          Machine.Simulate.run ~engine:`Reference ~config:machine
+            ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
+            c.Compiler.layout) )
   else begin
     let tk = trace_key ~dataset p c in
     let ak = artifact_key ~machine tk c.Compiler.schedule_cycles in
@@ -205,31 +226,43 @@ let simulate (t : t) ~(machine : Machine.Config.t)
               `Trace tr
             | None ->
               t.stats.simulations <- t.stats.simulations + 1;
+              if t.max_traces > 0 then t.stats.traced <- t.stats.traced + 1;
               `Miss))
     in
-    match hit with
-    | `Artifact res ->
-      Gp.Telemetry.incr "evaluator.artifact_hits";
-      res
-    | `Trace tr ->
-      Gp.Telemetry.incr "study.replayed";
-      let res =
-        Gp.Telemetry.span "study.replay_s" (fun () ->
-            Machine.Simulate.replay ~config:machine
-              ~schedule_cycles:c.Compiler.schedule_cycles tr)
-      in
-      locked t (fun () -> store_artifact t ak res);
-      res
-    | `Miss ->
-      let res, tr =
-        Gp.Telemetry.span "study.simulate_s" (fun () ->
-            Machine.Simulate.run_traced ~config:machine
-              ?max_trace_events:t.max_trace_events
-              ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
-              c.Compiler.layout)
-      in
-      locked t (fun () ->
-          Option.iter (store_trace t tk) tr;
-          store_artifact t ak res);
-      res
+    let res =
+      match hit with
+      | `Artifact res ->
+        Gp.Telemetry.incr "evaluator.artifact_hits";
+        res
+      | `Trace tr ->
+        Gp.Telemetry.incr "study.replayed";
+        let res =
+          Gp.Telemetry.span "study.replay_s" (fun () ->
+              Machine.Simulate.replay ~config:machine
+                ~schedule_cycles:c.Compiler.schedule_cycles tr)
+        in
+        locked t (fun () -> store_artifact t ak res);
+        res
+      | `Miss ->
+        let res, tr =
+          Gp.Telemetry.span "study.simulate_s" (fun () ->
+              let schedule_cycles = c.Compiler.schedule_cycles in
+              if t.max_traces = 0 then
+                ( Machine.Simulate.run ~config:machine ~schedule_cycles
+                    ~overrides c.Compiler.layout,
+                  None )
+              else
+                Machine.Simulate.run_traced ~config:machine
+                  ?max_trace_events:t.max_trace_events ~schedule_cycles
+                  ~overrides c.Compiler.layout)
+        in
+        locked t (fun () ->
+            Option.iter (store_trace t tk) tr;
+            store_artifact t ak res);
+        res
+    in
+    (Some ak, res)
   end
+
+let simulate t ~machine ~dataset p c =
+  snd (simulate_keyed t ~machine ~dataset p c)

@@ -15,6 +15,7 @@ type stats = {
   mutable artifact_hits : int;
   mutable replays : int;
   mutable simulations : int;  (** full interpreter runs *)
+  mutable traced : int;  (** of which recorded their event stream *)
 }
 
 type t
@@ -26,10 +27,13 @@ val create :
     reference-engine simulation — the golden slow path the fast paths
     are tested against.  Table sizes are bounded: artifacts reset at
     [max_artifacts] (default 8192), traces evict oldest-first past
-    [max_traces] (default 8).  [max_trace_events] caps the per-trace
-    event budget (default {!Machine.Trace.default_max_events}); a run
-    that overflows it is still measured exactly but yields no stored
-    trace — incomplete traces never enter the table. *)
+    [max_traces] (default 8).  [max_traces = 0] turns recording off: a
+    miss is a plain {!Machine.Simulate.run} (bit-identical to the traced
+    run) and no trace is ever stored or replayed.  [max_trace_events]
+    caps the per-trace event budget (default
+    {!Machine.Trace.default_max_events}); a run that overflows it is
+    still measured exactly but yields no stored trace — incomplete
+    traces never enter the table. *)
 
 val stats : t -> stats
 
@@ -47,7 +51,8 @@ val artifact_key : machine:Machine.Config.t -> string -> int array -> string
 
 val store_trace : t -> string -> Machine.Trace.t -> unit
 (** Insert a recorded trace under its trace key, evicting oldest-first
-    past the table bound.  Exposed for tests.
+    so the table never holds more than [max_traces] (none at 0).
+    Exposed for tests.
     @raise Invalid_argument on an incomplete trace — an overflowed event
     stream must never be replayed. *)
 
@@ -55,6 +60,19 @@ val simulate :
   t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
   Compiler.prepared -> Compiler.compiled -> Machine.Simulate.result
 (** One noise-free measurement, through artifact sharing, then trace
-    replay, then a full (traced) fast-engine simulation.  Telemetry:
-    bumps [evaluator.artifact_hits] / [study.replayed] counters and
-    records [study.simulate_s] / [study.replay_s] spans. *)
+    replay, then a full fast-engine simulation (traced unless
+    [max_traces = 0]).  Telemetry: bumps [evaluator.artifact_hits] /
+    [study.replayed] counters and records [study.simulate_s] /
+    [study.replay_s] spans. *)
+
+val simulate_keyed :
+  t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
+  Compiler.prepared -> Compiler.compiled ->
+  string option * Machine.Simulate.result
+(** {!simulate}, also returning the artifact key the result is stored
+    under ([None] when the cache is disabled), for {!import}. *)
+
+val import : t -> string -> Machine.Simulate.result -> unit
+(** [import t key res] stores a result measured elsewhere — a forked
+    worker's, returned with its key from {!simulate_keyed} — exactly as
+    a local simulation would have.  Counts nothing in {!stats}. *)

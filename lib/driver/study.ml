@@ -206,20 +206,29 @@ let noise_rng_of kind genome case =
    operations the direct simulation would perform — so sharing is sound
    under noise and a candidate whose artifact equals the baseline's
    scores speedup exactly 1.0 in the noise-free studies. *)
-let run_raw ?(compiled_eval = true) ~kind ~machine
+let measure ?(compiled_eval = true) ~kind ~machine
     ~(prepared : Compiler.prepared array) ~(sim : Simcache.t)
     (g : Gp.Expr.genome) ~case ~(dataset : Benchmarks.Bench.dataset) :
-    float * int =
+    string option * Machine.Simulate.result =
   let p = prepared.(case) in
   let compiled =
     Gp.Telemetry.span "study.compile_s" (fun () ->
         Compiler.compile ~compiled_eval ~machine
           ~heuristics:(heuristics_with kind g) p)
   in
-  let res = Simcache.simulate sim ~machine ~dataset p compiled in
+  Simcache.simulate_keyed sim ~machine ~dataset p compiled
+
+(* A noise-free result as the study observes it: cycles with the
+   (genome, case) jitter, and the output checksum. *)
+let observed ~kind g ~case (res : Machine.Simulate.result) : float * int =
   let noise = noise_rng_of kind g case in
   ( Machine.Simulate.jittered ?noise res.Machine.Simulate.cycles,
     res.Machine.Simulate.checksum )
+
+let run_raw ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset =
+  observed ~kind g ~case
+    (snd
+       (measure ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset))
 
 (* Speedup over a precomputed baseline.  A candidate whose compiled
    program produces different output than the baseline is a
@@ -239,6 +248,18 @@ let speedup_against ?compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
   end
   else if cycles <= 0.0 then 0.0
   else base_cycles /. cycles
+
+(* Only the scheduling study replays traces.  Every other study's
+   evolved pass rewrites the program, and the program is part of the
+   trace key, so a recorded trace would never be read: those studies
+   record nothing ([max_traces = 0]). *)
+let simcache_of ~fast_sim kind =
+  let max_traces =
+    match kind with
+    | Sched_study -> None
+    | Hyperblock_study | Regalloc_study | Prefetch_study -> Some 0
+  in
+  Simcache.create ~enabled:fast_sim ?max_traces ()
 
 (* The leading passes a study never varies: every candidate runs them
    with the baseline heuristics.  The hyperblock and prefetch studies
@@ -298,7 +319,7 @@ let service_of ?machine:machine_override ?(fast_sim = true)
     ?(compiled_eval = true) (kind : kind) (bench_names : string list) :
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
-  let sim = Simcache.create ~enabled:fast_sim () in
+  let sim = simcache_of ~fast_sim kind in
   let prepared =
     prepare_all ~fast_sim ~compiled_eval ~kind ~machine bench_names
   in
@@ -333,7 +354,7 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     context =
   let machine = Option.value ~default:(machine_of kind) cfg.machine in
   let compiled_eval = cfg.compiled_eval in
-  let sim = Simcache.create ~enabled:cfg.fast_sim () in
+  let sim = simcache_of ~fast_sim:cfg.fast_sim kind in
   let prepared =
     prepare_all ~fast_sim:cfg.fast_sim ~compiled_eval ~kind ~machine
       bench_names
@@ -361,21 +382,34 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     | None -> Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ()
   in
   let baseline_for dataset =
-    (* Parallel like any other batch; a failed cell (worker crash) is
-       recomputed sequentially because baselines must exist. *)
+    (* Parallel like any other batch.  Each cell returns its result with
+       its artifact key, and the parent imports it: the evaluation pools
+       fork after this, so their workers inherit every baseline artifact
+       instead of re-simulating it.  (Under [`Seq] and [`Domains] the
+       table is this one and the import stores an equal value.)  A failed
+       cell (worker crash) is recomputed here because baselines must
+       exist. *)
     let cells =
-      Gp.Parmap.run baseline_pool ~fallback:(Float.nan, 0)
+      Gp.Parmap.run baseline_pool ~fallback:None
         (fun case ->
-          run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-            ~dataset)
+          Some
+            (measure ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
+               ~dataset))
         (Array.init (Array.length prepared) Fun.id)
     in
     Array.mapi
       (fun case cell ->
-        if Float.is_nan (fst cell) then
-          run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-            ~dataset
-        else cell)
+        let res =
+          match cell with
+          | Some (key, res) ->
+            Option.iter (fun key -> Simcache.import sim key res) key;
+            res
+          | None ->
+            snd
+              (measure ~compiled_eval ~kind ~machine ~prepared ~sim base
+                 ~case ~dataset)
+        in
+        observed ~kind base ~case res)
       cells
   in
   let baseline_train = baseline_for Benchmarks.Bench.Train in
@@ -545,6 +579,7 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
         ("replayed", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.replays);
         ( "simulations",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.simulations );
+        ("traced", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.traced);
         ("best_fitness", Gp.Telemetry.Float best_fitness);
         ("best_expr", Gp.Telemetry.String best_expr);
       ]

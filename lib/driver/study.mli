@@ -144,8 +144,9 @@ type context = {
 
 val create_with : config -> kind -> string list -> context
 (** Prepare the named benchmarks, compile + simulate the baseline on both
-    datasets (over the configured pool), and build one cached batch
-    evaluator per dataset.  Each evaluator keeps a persistent worker pool
+    datasets (over the configured pool, importing each result into
+    [sim] so the evaluators' fork workers inherit it), and build one
+    cached batch evaluator per dataset.  Each evaluator keeps a persistent worker pool
     alive across its batches (spawned lazily on first use); callers that
     build a context directly own its lifetime and should {!close} it —
     the [_with] experiment drivers below do so on every exit path.  [timeout_s] and [retries] configure the
@@ -153,7 +154,8 @@ val create_with : config -> kind -> string list -> context
     compile that hangs or crashes its worker is killed, retried, and
     ultimately scored 0 without poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
-    artifact-keyed result sharing, trace replay, and the pre-decoded
+    artifact-keyed result sharing, trace replay (recorded only by the
+    scheduling study, the one study that replays), and the pre-decoded
     interpreter — and gives each benchmark the study's compile-prefix
     snapshot ({!fixed_prefix_of}), built here before any pool starts;
     disabling it compiles every candidate from scratch and routes every

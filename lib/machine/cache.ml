@@ -12,7 +12,7 @@
 type level = {
   cfg : Config.cache_level;
   sets : int;
-  tags : int array;          (* sets * assoc; -1 = invalid *)
+  tags : int array;          (* sets * assoc; [invalid] = empty way *)
   last_use : int array;
   mutable clock : int;
 }
@@ -37,12 +37,17 @@ type t = {
   stats : stats;
 }
 
+(* The tag of an empty way.  Not -1: a negative address has a negative
+   line, and line -1 would hit every empty way.  A line equals [min_int]
+   only for [line_words = 1] and [addr = min_int]. *)
+let invalid = min_int
+
 let make_level (cfg : Config.cache_level) : level =
   let sets = max 1 (cfg.size_words / (cfg.line_words * cfg.assoc)) in
   {
     cfg;
     sets;
-    tags = Array.make (sets * cfg.assoc) (-1);
+    tags = Array.make (sets * cfg.assoc) invalid;
     last_use = Array.make (sets * cfg.assoc) 0;
     clock = 0;
   }
@@ -67,13 +72,21 @@ let create (cfg : Config.t) : t =
       };
   }
 
+(* The first way of [line]'s set.  A negative address (a wild access the
+   interpreter is about to trap on, after the observer has seen it) has a
+   negative line; its set is taken modulo [sets] into range, so the model
+   stays total and the interpreter's [Trap] is what the caller sees.
+   Non-negative lines map exactly as [line mod sets]. *)
+let[@inline] set_base (l : level) line =
+  let set = line mod l.sets in
+  (if set < 0 then set + l.sets else set) * l.cfg.assoc
+
 (* Probe one level; on hit, refresh LRU and return true.  On miss return
    false without filling (fill happens separately so we can fill all missed
    levels once the hit level is known). *)
 let probe (l : level) (addr : int) : bool =
   let line = addr / l.cfg.line_words in
-  let set = line mod l.sets in
-  let base = set * l.cfg.assoc in
+  let base = set_base l line in
   l.clock <- l.clock + 1;
   let rec scan i =
     if i >= l.cfg.assoc then false
@@ -87,15 +100,14 @@ let probe (l : level) (addr : int) : bool =
 
 let fill (l : level) (addr : int) : unit =
   let line = addr / l.cfg.line_words in
-  let set = line mod l.sets in
-  let base = set * l.cfg.assoc in
+  let base = set_base l line in
   l.clock <- l.clock + 1;
   (* Find an invalid way or the LRU way. *)
   let victim = ref 0 in
   let oldest = ref max_int in
   (try
      for i = 0 to l.cfg.assoc - 1 do
-       if l.tags.(base + i) = -1 then begin
+       if l.tags.(base + i) = invalid then begin
          victim := i;
          raise Exit
        end;

@@ -5,7 +5,12 @@
     Prefetches that miss L1 occupy a bounded memory queue; completed
     demand misses retire entries; a prefetch arriving at a full queue is
     dropped and stalls the in-order pipe — the "saturate memory queues"
-    failure mode of overzealous prefetching the paper describes. *)
+    failure mode of overzealous prefetching the paper describes.
+
+    Every operation is total over [int] addresses: a negative address
+    (a wild access the interpreter traps on right after its observer
+    sees it) maps to a valid set, so the interpreter's [Trap], not an
+    array-bounds error here, is what a simulation raises. *)
 
 type stats = {
   mutable loads : int;

@@ -331,6 +331,66 @@ let test_heuristics_file_rejects_garbage () =
       | _ -> Alcotest.fail "expected Bad_file"
       | exception Driver.Heuristics_file.Bad_file _ -> ())
 
+(* Under the fork backend the baselines are measured in forked children;
+   their results come home with their artifact keys and land in the
+   parent's simulation cache before any evaluation pool forks.  So in
+   the parent the baseline genome is an artifact hit for every case and
+   dataset, no simulation runs, and the baselines equal a sequential
+   context's bit for bit. *)
+let test_fork_baselines_inherited () =
+  let benches = [ "codrle4"; "decodrle4" ] in
+  List.iter
+    (fun kind ->
+      let name = Driver.Study.kind_name kind in
+      let create backend jobs =
+        Driver.Study.create_with
+          { Driver.Study.default_config with Driver.Study.backend; jobs }
+          kind benches
+      in
+      let seq = create `Seq 1 in
+      let forked = create `Fork 2 in
+      Fun.protect
+        ~finally:(fun () ->
+          Driver.Study.close seq;
+          Driver.Study.close forked)
+        (fun () ->
+          let bits a =
+            Array.to_list
+              (Array.map (fun (c, sum) -> (Int64.bits_of_float c, sum)) a)
+          in
+          Alcotest.(check (list (pair int64 int)))
+            (name ^ ": train baselines equal Seq")
+            (bits seq.Driver.Study.baseline_train)
+            (bits forked.Driver.Study.baseline_train);
+          Alcotest.(check (list (pair int64 int)))
+            (name ^ ": novel baselines equal Seq")
+            (bits seq.Driver.Study.baseline_novel)
+            (bits forked.Driver.Study.baseline_novel);
+          let st = Driver.Simcache.stats forked.Driver.Study.sim in
+          if List.mem `Fork (Gp.Parmap.capabilities ()) then
+            Alcotest.(check int)
+              (name ^ ": baselines simulated in the workers, not here")
+              0 st.Driver.Simcache.simulations;
+          let sims = st.Driver.Simcache.simulations in
+          let hits = st.Driver.Simcache.artifact_hits in
+          let base = Driver.Study.baseline_genome_of kind in
+          List.iter
+            (fun dataset ->
+              List.iteri
+                (fun case _ ->
+                  Alcotest.(check (float 0.0))
+                    (name ^ ": baseline scores 1.0") 1.0
+                    (Driver.Study.speedup forked base ~case ~dataset))
+                benches)
+            [ Benchmarks.Bench.Train; Benchmarks.Bench.Novel ];
+          Alcotest.(check int) (name ^ ": no simulation") sims
+            st.Driver.Simcache.simulations;
+          Alcotest.(check int)
+            (name ^ ": an artifact hit per case and dataset")
+            (hits + (2 * List.length benches))
+            st.Driver.Simcache.artifact_hits))
+    [ Driver.Study.Hyperblock_study; Driver.Study.Sched_study ]
+
 let suite =
   [
     Alcotest.test_case "baseline speedup is 1.0" `Quick
@@ -349,6 +409,8 @@ let suite =
     Alcotest.test_case "cross validation" `Slow test_cross_validation;
     Alcotest.test_case "compile-prefix snapshot equals scratch compile" `Slow
       test_snapshot_equals_scratch;
+    Alcotest.test_case "fork workers inherit the baselines" `Quick
+      test_fork_baselines_inherited;
     Alcotest.test_case "heuristics file round-trip" `Quick
       test_heuristics_file_roundtrip;
     Alcotest.test_case "heuristics file partial/off" `Quick

@@ -176,6 +176,121 @@ let test_study_fast_vs_slow () =
         (List.combine fast slow))
     cases
 
+(* Only the scheduling study records event traces: in every other study
+   the evolved pass rewrites the program, which is part of the trace key,
+   so a recorded trace is never replayed.  The hyperblock and prefetch
+   studies therefore record nothing and still score every candidate
+   exactly as the golden slow path does; the sched study records and
+   replays. *)
+let test_recording_rule () =
+  let genomes kind exprs =
+    let fs = Driver.Study.feature_set_of kind in
+    Driver.Study.baseline_genome_of kind
+    :: List.map
+         (fun s ->
+           match Driver.Study.sort_of kind with
+           | `Real -> Gp.Expr.Real (Gp.Sexp.parse_real fs s)
+           | `Bool -> Gp.Expr.Bool (Gp.Sexp.parse_bool fs s))
+         exprs
+  in
+  let scores ctx gs =
+    List.map
+      (fun g ->
+        Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train)
+      gs
+  in
+  List.iter
+    (fun (kind, bench, exprs) ->
+      let name = Driver.Study.kind_name kind in
+      let gs = genomes kind exprs in
+      let fast = Driver.Study.create kind [ bench ] in
+      let slow = Driver.Study.create ~fast_sim:false kind [ bench ] in
+      List.iteri
+        (fun i (f, s) -> check_bits (Printf.sprintf "%s genome %d" name i) f s)
+        (List.combine (scores fast gs) (scores slow gs));
+      let st = Driver.Simcache.stats fast.Driver.Study.sim in
+      Alcotest.(check bool) (name ^ ": simulated") true
+        (st.Driver.Simcache.simulations > 0);
+      Alcotest.(check int) (name ^ ": recorded no trace") 0
+        st.Driver.Simcache.traced;
+      Alcotest.(check int) (name ^ ": replayed nothing") 0
+        st.Driver.Simcache.replays)
+    [
+      ( Driver.Study.Hyperblock_study, "codrle4",
+        [ "(mul exec_ratio 2.0)"; "(sub num_ops dep_height)"; "(sub 0.0 1.0)" ]
+      );
+      ( Driver.Study.Prefetch_study, "015.doduc",
+        [ "true"; "false"; "(gt abs_stride 4.0)" ] );
+    ];
+  let sched = Driver.Study.create Driver.Study.Sched_study [ "codrle4" ] in
+  ignore
+    (scores sched
+       (genomes Driver.Study.Sched_study
+          [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ]));
+  let st = Driver.Simcache.stats sched.Driver.Study.sim in
+  Alcotest.(check bool) "sched: records traces" true
+    (st.Driver.Simcache.traced > 0);
+  Alcotest.(check bool) "sched: replays" true (st.Driver.Simcache.replays > 0)
+
+(* The trace table never holds more than [max_traces]: none at 0, so
+   nothing stored is ever replayed, and one at 1, where storing a second
+   key evicts the first and re-storing the held key evicts nothing.
+   Retimed copies of one artifact share its trace key, so whether a
+   simulation of one is a replay shows what the table holds. *)
+let test_trace_cap_exact () =
+  let kind = Driver.Study.Sched_study in
+  let p = prepare_for kind "codrle4" in
+  let machine, c = compile_for kind p in
+  let dataset = Benchmarks.Bench.Train in
+  let overrides =
+    Benchmarks.Bench.overrides p.Driver.Compiler.bench dataset
+  in
+  let tr =
+    match
+      snd
+        (Machine.Simulate.run_traced ~config:machine
+           ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
+           c.Driver.Compiler.layout)
+    with
+    | Some tr -> tr
+    | None -> Alcotest.fail "trace did not fit the event budget"
+  in
+  let tk = Driver.Simcache.trace_key ~dataset p c in
+  let retimed k =
+    {
+      c with
+      Driver.Compiler.schedule_cycles =
+        Array.map (fun l -> l + k) c.Driver.Compiler.schedule_cycles;
+    }
+  in
+  let probe name sim k ~replayed =
+    let st = Driver.Simcache.stats sim in
+    let before = st.Driver.Simcache.replays in
+    let c' = retimed k in
+    check_result name
+      (Machine.Simulate.run ~config:machine
+         ~schedule_cycles:c'.Driver.Compiler.schedule_cycles ~overrides
+         c'.Driver.Compiler.layout)
+      (Driver.Simcache.simulate sim ~machine ~dataset p c');
+    Alcotest.(check bool) (name ^ ": replayed") replayed
+      (st.Driver.Simcache.replays > before)
+  in
+  let none = Driver.Simcache.create ~max_traces:0 () in
+  Driver.Simcache.store_trace none tk tr;
+  probe "cap 0, after a store" none 1 ~replayed:false;
+  probe "cap 0, after a miss" none 2 ~replayed:false;
+  Alcotest.(check int) "cap 0: nothing recorded" 0
+    (Driver.Simcache.stats none).Driver.Simcache.traced;
+  let one = Driver.Simcache.create ~max_traces:1 () in
+  Driver.Simcache.store_trace one tk tr;
+  Driver.Simcache.store_trace one "another key" tr;
+  probe "cap 1, key evicted" one 1 ~replayed:false;
+  probe "cap 1, key recorded again" one 2 ~replayed:true;
+  Driver.Simcache.store_trace one tk tr;
+  probe "cap 1, key re-stored" one 3 ~replayed:true;
+  Alcotest.(check int) "cap 1: one recording" 1
+    (Driver.Simcache.stats one).Driver.Simcache.traced
+
 (* The compiled-eval golden path: a study context with Evalc on vs off
    (the [--no-compiled-eval] tree-walker reference) must score every
    candidate bit-identically, across two studies whose decision sites
@@ -324,6 +439,9 @@ let suite =
       test_replay_equivalence;
     Alcotest.test_case "study results identical fast vs slow" `Slow
       test_study_fast_vs_slow;
+    Alcotest.test_case "only the sched study records traces" `Slow
+      test_recording_rule;
+    Alcotest.test_case "trace table cap is exact" `Quick test_trace_cap_exact;
     Alcotest.test_case "study results identical compiled vs walk" `Slow
       test_study_compiled_vs_walk;
     Alcotest.test_case "artifact collision shares one simulation" `Slow

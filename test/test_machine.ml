@@ -130,6 +130,71 @@ let simulate_src ?(config = cfg) src =
   in
   Machine.Simulate.run ~config ~schedule_cycles:sc layout
 
+(* A wild access below address 0 is the interpreter's to reject: the
+   cache model sees the address first (the observer runs before the
+   bounds check) and must stay total, so every path that executes the
+   program raises the interpreter's own [Trap] — Interp.run, Simulate.run
+   on both engines, and the traced run. *)
+let test_negative_address_traps () =
+  let c = Machine.Cache.create cfg in
+  Alcotest.(check int) "negative load is a cold miss"
+    cfg.Machine.Config.memory_extra_latency (Machine.Cache.load c (-9));
+  Alcotest.(check int) "then it hits" 0 (Machine.Cache.load c (-9));
+  Alcotest.(check bool) "line -1 is not an empty way" true
+    (Machine.Cache.load (Machine.Cache.create cfg) (-8) > 0);
+  Machine.Cache.store c (-100);
+  ignore (Machine.Cache.prefetch c (-100));
+  let outcome f =
+    match f () with
+    | _ -> "returned"
+    | exception Profile.Interp.Trap msg -> "Trap " ^ msg
+  in
+  List.iter
+    (fun addr ->
+      List.iter
+        (fun (what, body) ->
+          (* [a] is the only global, at address 0, so [a[k]] is address k. *)
+          let src =
+            Printf.sprintf
+              {| global int a[4];
+                 int main() { int k = %d; %s return 0; } |}
+              addr body
+          in
+          let prog = Frontend.Minic.compile src in
+          let layout = Profile.Layout.prepare prog in
+          Alcotest.(check int) "a at address 0" 0
+            (Hashtbl.find layout.Profile.Layout.global_base "a");
+          let lens = Sched.List_sched.schedule_program ~config:cfg prog in
+          let sc =
+            Array.map
+              (fun (f, l) -> Hashtbl.find lens (f, l))
+              layout.Profile.Layout.block_name
+          in
+          let name = Printf.sprintf "%s at %d" what addr in
+          let want = outcome (fun () -> Profile.Interp.run layout) in
+          Alcotest.(check bool) (name ^ ": interpreter traps") true
+            (String.length want > 5 && String.sub want 0 5 = "Trap ");
+          List.iter
+            (fun (path, f) ->
+              Alcotest.(check string) (name ^ ": " ^ path) want (outcome f))
+            [
+              ( "Simulate.run fast",
+                fun () ->
+                  Machine.Simulate.run ~engine:`Fast ~config:cfg
+                    ~schedule_cycles:sc layout );
+              ( "Simulate.run reference",
+                fun () ->
+                  Machine.Simulate.run ~engine:`Reference ~config:cfg
+                    ~schedule_cycles:sc layout );
+              ( "Simulate.run_traced",
+                fun () ->
+                  fst
+                    (Machine.Simulate.run_traced ~config:cfg
+                       ~schedule_cycles:sc layout) );
+            ])
+        [ ("load", "emit(a[k]);"); ("store", "a[k] = 1;") ])
+    [ -9; -100 ]
+
 let test_simulate_deterministic () =
   let src =
     {| global int a[64];
@@ -236,6 +301,8 @@ let suite =
       test_predictor_2bit_hysteresis;
     Alcotest.test_case "alternating branches mispredict" `Quick
       test_predictor_alternating_is_hard;
+    Alcotest.test_case "negative addresses trap, not crash" `Quick
+      test_negative_address_traps;
     Alcotest.test_case "simulation is deterministic" `Quick
       test_simulate_deterministic;
     Alcotest.test_case "mispredicts cost cycles" `Quick

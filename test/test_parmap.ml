@@ -678,6 +678,58 @@ let test_handle_shutdown_semantics () =
   | _ -> Alcotest.fail "run_batch after shutdown must raise"
   | exception Invalid_argument _ -> ()
 
+(* Shutting down one warm fork pool while another is alive must not stall:
+   the second pool's workers were forked after the first pool's and must
+   not hold its task pipes open.  Its workers see EOF, exit with status
+   0 on their own, and none is SIGKILLed after the grace period. *)
+let test_handle_shutdown_with_sibling () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let sink, records = Gp.Telemetry.memory_sink () in
+    Gp.Telemetry.set_sink (Some sink);
+    Fun.protect
+      ~finally:(fun () -> Gp.Telemetry.set_sink None)
+      (fun () ->
+        let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 () in
+        let first = Gp.Parmap.create pool ~f:(fun x -> x + 1) in
+        let second = Gp.Parmap.create pool ~f:(fun x -> x * 2) in
+        Fun.protect
+          ~finally:(fun () -> Gp.Parmap.shutdown second)
+          (fun () ->
+            (* Spawn both pools, the first one first. *)
+            ignore (Gp.Parmap.run_batch first [| 1; 2; 3; 4 |]);
+            ignore (Gp.Parmap.run_batch second [| 1; 2; 3; 4 |]);
+            let t0 = Unix.gettimeofday () in
+            Gp.Parmap.shutdown first;
+            let took = Unix.gettimeofday () -. t0 in
+            Alcotest.(check bool)
+              (Printf.sprintf "first pool shut down in %.3fs (< 0.25s)" took)
+              true (took < 0.25);
+            let field k r =
+              match Gp.Telemetry.member k r with
+              | Some (Gp.Telemetry.Int v) -> v
+              | _ -> Alcotest.failf "shutdown record lacks %s" k
+            in
+            (match
+               List.filter
+                 (fun r ->
+                   Gp.Telemetry.member "kind" r
+                   = Some (Gp.Telemetry.String "pool_shutdown"))
+                 (records ())
+             with
+            | [ r ] ->
+              Alcotest.(check int) "both workers exited with status 0" 2
+                (field "clean_exits" r);
+              Alcotest.(check int) "no worker killed" 0 (field "kills" r)
+            | l -> Alcotest.failf "%d shutdown records" (List.length l));
+            Alcotest.(check int) "parmap.shutdown_kills" 0
+              (Gp.Telemetry.Counter.value
+                 (Gp.Telemetry.counter "parmap.shutdown_kills"));
+            (* The sibling is untouched. *)
+            match Gp.Parmap.run_batch second [| 5 |] with
+            | [| Gp.Parmap.Ok 10 |], _ -> ()
+            | _ -> Alcotest.fail "sibling pool broken by the shutdown"))
+  end
+
 (* --- Chunked dispatch ----------------------------------------------------- *)
 
 (* Chunk-geometry edge cases: a pinned chunk of 1 (the pre-chunking
@@ -815,6 +867,66 @@ let test_straggler_hang () =
           true (wall < 10.0))
   end
 
+(* A lone executing member is never stolen: with nothing queued behind
+   it, a copy started on the idle worker could only reply after the
+   original, and the losing worker would be recycled at the end of the
+   batch.  The other worker drains the queue well past the straggler's
+   lateness threshold (4x the ~10ms per-task estimate), yet the nap runs
+   out on its own worker and the batch records no steal. *)
+let test_straggler_lone_member () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let plan =
+      {
+        Gp.Chaos.seed = 0;
+        rules =
+          [
+            {
+              Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;
+              r_key = Some 1;
+              r_attempt = Some 1;
+              r_fault = Gp.Chaos.Slow 0.3;
+            };
+          ];
+      }
+    in
+    let sink, records = Gp.Telemetry.memory_sink () in
+    Gp.Telemetry.set_sink (Some sink);
+    let pool =
+      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:0 ~chunk_min:1
+        ~chunk_max:1 ()
+    in
+    let h =
+      Gp.Parmap.create pool ~f:(fun x ->
+          Unix.sleepf 0.01;
+          x * x)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Gp.Chaos.disarm ();
+        Gp.Parmap.shutdown h;
+        Gp.Telemetry.set_sink None)
+      (fun () ->
+        Gp.Chaos.arm plan;
+        let outcomes, _ = Gp.Parmap.run_batch h (Array.init 8 Fun.id) in
+        Array.iteri
+          (fun i o ->
+            match o with
+            | Gp.Parmap.Ok v ->
+              Alcotest.(check int) (Printf.sprintf "task %d" i) (i * i) v
+            | _ -> Alcotest.failf "task %d lost" i)
+          outcomes;
+        match
+          List.filter
+            (fun r ->
+              Gp.Telemetry.member "kind" r = Some (Gp.Telemetry.String "pool"))
+            (records ())
+        with
+        | [ r ] ->
+          Alcotest.(check bool) "no steal recorded" true
+            (Gp.Telemetry.member "steals" r = Some (Gp.Telemetry.Int 0))
+        | l -> Alcotest.failf "%d pool records" (List.length l))
+  end
+
 let suite =
   [
     Alcotest.test_case "ordered results" `Quick test_ordering;
@@ -842,7 +954,11 @@ let suite =
       test_handle_survives_worker_death;
     Alcotest.test_case "warm pool: shutdown semantics" `Quick
       test_handle_shutdown_semantics;
+    Alcotest.test_case "warm pool: shutdown beside a live sibling" `Quick
+      test_handle_shutdown_with_sibling;
     Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
     Alcotest.test_case "straggler: slow worker" `Quick test_straggler_slow;
     Alcotest.test_case "straggler: hang mid-chunk" `Quick test_straggler_hang;
+    Alcotest.test_case "straggler: lone member not stolen" `Quick
+      test_straggler_lone_member;
   ]

@@ -283,34 +283,57 @@ let test_cache_record () =
       Alcotest.(check int) "stats memo hits" 2 cs.Driver.Evaluator.memo_hits;
       Alcotest.(check int) "stats misses" 2 cs.Driver.Evaluator.misses)
 
+(* The run_summary record of a tiny sequential specialization on
+   codrle4. *)
+let run_summary ?(fast_sim = true) kind =
+  with_memory_sink (fun records ->
+      T.reset ();
+      ignore
+        (Driver.Study.specialize_with
+           { Driver.Study.default_config with
+             Driver.Study.params = Gp.Params.tiny;
+             backend = `Seq;
+             fast_sim }
+           kind "codrle4");
+      match
+        List.filter
+          (fun j -> T.member "kind" j = Some (T.String "run_summary"))
+          (records ())
+      with
+      | [ r ] -> r
+      | rs -> Alcotest.failf "expected 1 run_summary, got %d" (List.length rs))
+
 (* The one-time compile-prefix build moved out of the per-candidate
    compiles; run_summary still accounts for it, as [prefix_s]. *)
 let test_run_summary_prefix () =
   let prefix_s ~fast_sim =
-    with_memory_sink (fun records ->
-        T.reset ();
-        ignore
-          (Driver.Study.specialize_with
-             { Driver.Study.default_config with
-               Driver.Study.params = Gp.Params.tiny;
-               backend = `Seq;
-               fast_sim }
-             Driver.Study.Sched_study "codrle4");
-        match
-          List.filter
-            (fun j -> T.member "kind" j = Some (T.String "run_summary"))
-            (records ())
-        with
-        | [ r ] -> (
-          match T.member "prefix_s" r with
-          | Some (T.Float s) -> s
-          | _ -> Alcotest.fail "prefix_s missing")
-        | rs -> Alcotest.failf "expected 1 run_summary, got %d" (List.length rs))
+    let r = run_summary ~fast_sim Driver.Study.Sched_study in
+    match T.member "prefix_s" r with
+    | Some (T.Float s) -> s
+    | _ -> Alcotest.fail "prefix_s missing"
   in
   Alcotest.(check bool) "prefix built once, timed" true
     (prefix_s ~fast_sim:true > 0.0);
   Alcotest.(check (float 0.0)) "no prefix without fast paths" 0.0
     (prefix_s ~fast_sim:false)
+
+(* run_summary's [traced] shows the recording rule: the sched study
+   records its simulations' event streams, the hyperblock study records
+   none of them. *)
+let test_run_summary_traced () =
+  let count k r =
+    match T.member k r with
+    | Some (T.Int n) -> n
+    | _ -> Alcotest.failf "%s missing" k
+  in
+  let sched = run_summary Driver.Study.Sched_study in
+  Alcotest.(check bool) "sched: simulations traced" true
+    (count "traced" sched > 0
+    && count "traced" sched = count "simulations" sched);
+  let hb = run_summary Driver.Study.Hyperblock_study in
+  Alcotest.(check bool) "hyperblock: simulated" true
+    (count "simulations" hb > 0);
+  Alcotest.(check int) "hyperblock: none traced" 0 (count "traced" hb)
 
 let suite =
   [
@@ -327,4 +350,6 @@ let suite =
     Alcotest.test_case "cache record" `Quick test_cache_record;
     Alcotest.test_case "run summary reports the compile prefix" `Quick
       test_run_summary_prefix;
+    Alcotest.test_case "run summary reports traced simulations" `Quick
+      test_run_summary_traced;
   ]
