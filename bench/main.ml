@@ -456,6 +456,61 @@ let ckpt () =
   Fmt.pr "identical evolved result : %s@." (if same then "yes" else "NO!");
   Fmt.pr "best: %s@." straight.Driver.Study.best_expr
 
+let best_of n f =
+  let rec go best i =
+    if i >= n then best
+    else begin
+      let t = Unix.gettimeofday () in
+      f ();
+      go (min best (Unix.gettimeofday () -. t)) (i + 1)
+    end
+  in
+  go infinity 0
+
+(* Two legs timed interleaved in 5 pairs, alternating which runs first,
+   so a slow stretch of the machine lands on both legs of a pair.  Each
+   leg of a pair is the best of 3 back-to-back runs, which drops the runs
+   another process or a major GC slice interrupted.  Returns each leg's
+   median time and the median, min and max of the per-pair ratio
+   [a / b].  Gates read the median ratio; a single-shot ratio moved by
+   1.7x across identical reports. *)
+type paired = {
+  a_s : float;
+  b_s : float;
+  ratio : float;
+  ratio_min : float;
+  ratio_max : float;
+}
+
+let paired a b =
+  let legs =
+    List.init 5 (fun i ->
+        if i mod 2 = 0 then
+          let ta = best_of 3 a in
+          (ta, best_of 3 b)
+        else
+          let tb = best_of 3 b in
+          (best_of 3 a, tb))
+  in
+  let median xs = List.nth (List.sort Float.compare xs) 2 in
+  let ratios = List.map (fun (ta, tb) -> ta /. tb) legs in
+  {
+    a_s = median (List.map fst legs);
+    b_s = median (List.map snd legs);
+    ratio = median ratios;
+    ratio_min = List.fold_left Float.min infinity ratios;
+    ratio_max = List.fold_left Float.max neg_infinity ratios;
+  }
+
+(* A paired ratio as telemetry fields: [name] (the median), [name_min]
+   and [name_max]. *)
+let ratio_fields name r =
+  [
+    (name, Gp.Telemetry.Float r.ratio);
+    (name ^ "_min", Gp.Telemetry.Float r.ratio_min);
+    (name ^ "_max", Gp.Telemetry.Float r.ratio_max);
+  ]
+
 (* Simulation fast paths (DESIGN.md §10): interpreter throughput of the
    reference vs the pre-decoded engine, trace-replay speedup over a full
    simulation, the end-to-end effect of the fast paths on a sched-study
@@ -463,17 +518,6 @@ let ckpt () =
    artifact-cache hit rate of a hyperblock smoke run.  Returns the
    telemetry JSON embedded in the report target. *)
 let sim_measurements p =
-  let best_of n f =
-    let rec go best i =
-      if i >= n then best
-      else begin
-        let t = Unix.gettimeofday () in
-        f ();
-        go (min best (Unix.gettimeofday () -. t)) (i + 1)
-      end
-    in
-    go infinity 0
-  in
   (* Interpreter throughput on the largest dynamic footprint in the
      suite. *)
   let tp_bench = "023.eqntott" in
@@ -500,13 +544,14 @@ let sim_measurements p =
       c.Driver.Compiler.layout
   in
   let dyn = float_of_int res.Machine.Simulate.dynamic_instrs in
-  let t_ref = best_of 3 (run `Reference) in
-  let t_fast = best_of 3 (run `Fast) in
-  let t_replay =
+  let engine = paired (run `Reference) (run `Fast) in
+  let replay =
     match tr with
-    | None -> infinity
+    | None ->
+      { a_s = 0.0; b_s = infinity; ratio = 0.0; ratio_min = 0.0;
+        ratio_max = 0.0 }
     | Some tr ->
-      best_of 5 (fun () ->
+      paired (run `Fast) (fun () ->
           ignore
             (Machine.Simulate.replay ~config:machine
                ~schedule_cycles:c.Driver.Compiler.schedule_cycles tr))
@@ -546,10 +591,15 @@ let sim_measurements p =
     float_of_int st.Driver.Simcache.artifact_hits
     /. float_of_int (max 1 lookups)
   in
-  Fmt.pr "  interpreter  : reference %.1f Minstr/s, pre-decoded %.1f (%.2fx)@."
-    (dyn /. t_ref /. 1e6) (dyn /. t_fast /. 1e6) (t_ref /. t_fast);
-  Fmt.pr "  trace replay : %.2fx over a full fast-engine simulation@."
-    (t_fast /. t_replay);
+  Fmt.pr
+    "  interpreter  : reference %.1f Minstr/s, pre-decoded %.1f (%.2fx, \
+     %.2f-%.2f)@."
+    (dyn /. engine.a_s /. 1e6) (dyn /. engine.b_s /. 1e6) engine.ratio
+    engine.ratio_min engine.ratio_max;
+  Fmt.pr
+    "  trace replay : %.2fx over a full fast-engine simulation \
+     (%.2f-%.2f)@."
+    replay.ratio replay.ratio_min replay.ratio_max;
   Fmt.pr "  sched smoke  : fast %.2fs, slow %.2fs (%.2fx), identical: %s@."
     t_on t_off (t_off /. t_on) (if identical then "yes" else "NO!");
   Fmt.pr
@@ -557,22 +607,24 @@ let sim_measurements p =
     st.Driver.Simcache.artifact_hits st.Driver.Simcache.replays
     st.Driver.Simcache.simulations hit_rate;
   Gp.Telemetry.Obj
-    [
-      ("throughput_bench", Gp.Telemetry.String tp_bench);
-      ("reference_minstr_s", Gp.Telemetry.Float (dyn /. t_ref /. 1e6));
-      ("fast_minstr_s", Gp.Telemetry.Float (dyn /. t_fast /. 1e6));
-      ("engine_speedup", Gp.Telemetry.Float (t_ref /. t_fast));
-      ("replay_speedup", Gp.Telemetry.Float (t_fast /. t_replay));
-      ("evolution_bench", Gp.Telemetry.String evo_bench);
-      ("evolution_fast_s", Gp.Telemetry.Float t_on);
-      ("evolution_slow_s", Gp.Telemetry.Float t_off);
-      ("evolution_speedup", Gp.Telemetry.Float (t_off /. t_on));
-      ("evolution_identical", Gp.Telemetry.Bool identical);
-      ("artifact_hits", Gp.Telemetry.Int st.Driver.Simcache.artifact_hits);
-      ("replays", Gp.Telemetry.Int st.Driver.Simcache.replays);
-      ("simulations", Gp.Telemetry.Int st.Driver.Simcache.simulations);
-      ("artifact_hit_rate", Gp.Telemetry.Float hit_rate);
-    ]
+    ([
+       ("throughput_bench", Gp.Telemetry.String tp_bench);
+       ("reference_minstr_s", Gp.Telemetry.Float (dyn /. engine.a_s /. 1e6));
+       ("fast_minstr_s", Gp.Telemetry.Float (dyn /. engine.b_s /. 1e6));
+     ]
+    @ ratio_fields "engine_speedup" engine
+    @ ratio_fields "replay_speedup" replay
+    @ [
+        ("evolution_bench", Gp.Telemetry.String evo_bench);
+        ("evolution_fast_s", Gp.Telemetry.Float t_on);
+        ("evolution_slow_s", Gp.Telemetry.Float t_off);
+        ("evolution_speedup", Gp.Telemetry.Float (t_off /. t_on));
+        ("evolution_identical", Gp.Telemetry.Bool identical);
+        ("artifact_hits", Gp.Telemetry.Int st.Driver.Simcache.artifact_hits);
+        ("replays", Gp.Telemetry.Int st.Driver.Simcache.replays);
+        ("simulations", Gp.Telemetry.Int st.Driver.Simcache.simulations);
+        ("artifact_hit_rate", Gp.Telemetry.Float hit_rate);
+      ])
 
 (* Compiled genome evaluation (DESIGN.md §12): batch throughput of the
    Evalc bytecode against the Eval tree-walker on a deep expression, and
@@ -583,17 +635,6 @@ let sim_measurements p =
    why the report target runs this section last.  Returns the telemetry
    JSON embedded in the report target. *)
 let evalc_measurements () =
-  let best_of n f =
-    let rec go best i =
-      if i >= n then best
-      else begin
-        let t = Unix.gettimeofday () in
-        f ();
-        go (min best (Unix.gettimeofday () -. t)) (i + 1)
-      end
-    in
-    go infinity 0
-  in
   let fs = Fuzz.Genome_gen.fs in
   let rng = Random.State.make [| 0xeca1c; 7 |] in
   (* Main workload: a deep arithmetic priority function over the feature
@@ -636,25 +677,19 @@ let evalc_measurements () =
   let bit_identical = identical expr prog && identical branchy branchy_prog in
   let reps = 20 in
   let throughput e p =
-    let t_walk =
-      best_of 5 (fun () ->
-          for _ = 1 to reps do
-            Array.iter (fun env -> ignore (Gp.Eval.real env e)) envs
-          done)
-    in
-    let t_compiled =
-      best_of 5 (fun () ->
-          for _ = 1 to reps do
-            ignore (Gp.Evalc.run_batch p envs)
-          done)
-    in
-    (t_walk, t_compiled)
+    paired
+      (fun () ->
+        for _ = 1 to reps do
+          Array.iter (fun env -> ignore (Gp.Eval.real env e)) envs
+        done)
+      (fun () ->
+        for _ = 1 to reps do
+          ignore (Gp.Evalc.run_batch p envs)
+        done)
   in
-  let t_walk, t_compiled = throughput expr prog in
-  let tb_walk, tb_compiled = throughput branchy branchy_prog in
+  let deep = throughput expr prog in
+  let branchy_r = throughput branchy branchy_prog in
   let evals = float_of_int (n_env * reps) in
-  let compiled_speedup = t_walk /. t_compiled in
-  let branchy_speedup = tb_walk /. tb_compiled in
   (* pool comparison, in the regime evolution actually runs in: one
      batch per generation against a long-lived warm pool.  Each backend
      gets a persistent handle, pays its spawn once in an untimed warm-up
@@ -702,14 +737,18 @@ let evalc_measurements () =
   let domains_over_fork =
     if Float.is_finite !t_fork then !t_fork /. t_domains else 0.0
   in
-  Fmt.pr "  bytecode     : walker %.2f Meval/s, compiled %.2f (%.2fx)@."
-    (evals /. t_walk /. 1e6)
-    (evals /. t_compiled /. 1e6)
-    compiled_speedup;
-  Fmt.pr "  branchy      : walker %.2f Meval/s, compiled %.2f (%.2fx)@."
-    (evals /. tb_walk /. 1e6)
-    (evals /. tb_compiled /. 1e6)
-    branchy_speedup;
+  Fmt.pr
+    "  bytecode     : walker %.2f Meval/s, compiled %.2f (%.2fx, \
+     %.2f-%.2f)@."
+    (evals /. deep.a_s /. 1e6)
+    (evals /. deep.b_s /. 1e6)
+    deep.ratio deep.ratio_min deep.ratio_max;
+  Fmt.pr
+    "  branchy      : walker %.2f Meval/s, compiled %.2f (%.2fx, \
+     %.2f-%.2f)@."
+    (evals /. branchy_r.a_s /. 1e6)
+    (evals /. branchy_r.b_s /. 1e6)
+    branchy_r.ratio branchy_r.ratio_min branchy_r.ratio_max;
   Fmt.pr "  bit-identical: %s@." (if bit_identical then "yes" else "NO!");
   if Float.is_finite !t_fork then
     Fmt.pr
@@ -722,20 +761,22 @@ let evalc_measurements () =
   Fmt.pr "  pool results : %s@."
     (if pools_identical then "identical across backends" else "DIVERGENT!");
   Gp.Telemetry.Obj
-    [
-      ("envs", Gp.Telemetry.Int n_env);
-      ("walk_meval_s", Gp.Telemetry.Float (evals /. t_walk /. 1e6));
-      ("compiled_meval_s", Gp.Telemetry.Float (evals /. t_compiled /. 1e6));
-      ("compiled_speedup", Gp.Telemetry.Float compiled_speedup);
-      ("branchy_speedup", Gp.Telemetry.Float branchy_speedup);
-      ("bit_identical", Gp.Telemetry.Bool bit_identical);
-      ( "fork_s",
-        Gp.Telemetry.Float (if Float.is_finite !t_fork then !t_fork else 0.0)
-      );
-      ("domains_s", Gp.Telemetry.Float t_domains);
-      ("domains_over_fork", Gp.Telemetry.Float domains_over_fork);
-      ("pools_identical", Gp.Telemetry.Bool pools_identical);
-    ]
+    ([
+       ("envs", Gp.Telemetry.Int n_env);
+       ("walk_meval_s", Gp.Telemetry.Float (evals /. deep.a_s /. 1e6));
+       ("compiled_meval_s", Gp.Telemetry.Float (evals /. deep.b_s /. 1e6));
+     ]
+    @ ratio_fields "compiled_speedup" deep
+    @ ratio_fields "branchy_speedup" branchy_r
+    @ [
+        ("bit_identical", Gp.Telemetry.Bool bit_identical);
+        ( "fork_s",
+          Gp.Telemetry.Float
+            (if Float.is_finite !t_fork then !t_fork else 0.0) );
+        ("domains_s", Gp.Telemetry.Float t_domains);
+        ("domains_over_fork", Gp.Telemetry.Float domains_over_fork);
+        ("pools_identical", Gp.Telemetry.Bool pools_identical);
+      ])
 
 let evalc () =
   hr "Compiled genome evaluation: Evalc bytecode + domains/fork pools";
@@ -1030,8 +1071,9 @@ let report () =
           | Some _ -> ()
           | None -> fail ("sim section missing key " ^ k))
         [
-          "engine_speedup"; "replay_speedup"; "evolution_speedup";
-          "evolution_identical"; "artifact_hit_rate";
+          "engine_speedup"; "engine_speedup_min"; "engine_speedup_max";
+          "replay_speedup"; "replay_speedup_min"; "replay_speedup_max";
+          "evolution_speedup"; "evolution_identical"; "artifact_hit_rate";
         ]
     | _ -> fail "sim not an object");
     (match require "evalc" with
@@ -1042,8 +1084,10 @@ let report () =
           | Some _ -> ()
           | None -> fail ("evalc section missing key " ^ k))
         [
-          "compiled_speedup"; "branchy_speedup"; "bit_identical"; "fork_s";
-          "domains_s"; "domains_over_fork"; "pools_identical";
+          "compiled_speedup"; "compiled_speedup_min"; "compiled_speedup_max";
+          "branchy_speedup"; "branchy_speedup_min"; "branchy_speedup_max";
+          "bit_identical"; "fork_s"; "domains_s"; "domains_over_fork";
+          "pools_identical";
         ]
     | _ -> fail "evalc not an object"));
   Fmt.pr

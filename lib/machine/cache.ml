@@ -11,7 +11,9 @@
 
 type level = {
   cfg : Config.cache_level;
-  sets : int;
+  assoc : int;
+  line_shift : int;          (* log2 of the line size in words *)
+  set_mask : int;            (* sets - 1 *)
   tags : int array;          (* sets * assoc; [invalid] = empty way *)
   last_use : int array;
   mutable clock : int;
@@ -42,11 +44,31 @@ type t = {
    only for [line_words = 1] and [addr = min_int]. *)
 let invalid = min_int
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Line size and set count must be powers of two, so that indexing is a
+   shift and a mask; every stock machine in [Config] complies. *)
 let make_level (cfg : Config.cache_level) : level =
+  if cfg.assoc < 1 || not (is_pow2 cfg.line_words) then
+    invalid_arg
+      (Printf.sprintf
+         "Cache: line size %d words, %d-way: need a power-of-two line size \
+          and at least one way"
+         cfg.line_words cfg.assoc);
   let sets = max 1 (cfg.size_words / (cfg.line_words * cfg.assoc)) in
+  if not (is_pow2 sets) then
+    invalid_arg
+      (Printf.sprintf
+         "Cache: %d words in %d-word lines, %d-way, give %d sets: need a \
+          power of two"
+         cfg.size_words cfg.line_words cfg.assoc sets);
   {
     cfg;
-    sets;
+    assoc = cfg.assoc;
+    line_shift = log2 cfg.line_words;
+    set_mask = sets - 1;
     tags = Array.make (sets * cfg.assoc) invalid;
     last_use = Array.make (sets * cfg.assoc) 0;
     clock = 0;
@@ -72,41 +94,41 @@ let create (cfg : Config.t) : t =
       };
   }
 
-(* The first way of [line]'s set.  A negative address (a wild access the
-   interpreter is about to trap on, after the observer has seen it) has a
-   negative line; its set is taken modulo [sets] into range, so the model
-   stays total and the interpreter's [Trap] is what the caller sees.
-   Non-negative lines map exactly as [line mod sets]. *)
-let[@inline] set_base (l : level) line =
-  let set = line mod l.sets in
-  (if set < 0 then set + l.sets else set) * l.cfg.assoc
+(* The line of [addr] and the first way of its set.  A negative address
+   (a wild access the interpreter is about to trap on, after the observer
+   has seen it) has a negative line, and the mask still maps it to a
+   valid set, so the model stays total and the interpreter's [Trap] is
+   what the caller sees.  For non-negative addresses the shift and mask
+   are exactly [addr / line_words] and [line mod sets]. *)
+let[@inline] line_of (l : level) addr = addr asr l.line_shift
+let[@inline] set_base (l : level) line = (line land l.set_mask) * l.assoc
 
 (* Probe one level; on hit, refresh LRU and return true.  On miss return
    false without filling (fill happens separately so we can fill all missed
    levels once the hit level is known). *)
 let probe (l : level) (addr : int) : bool =
-  let line = addr / l.cfg.line_words in
+  let line = line_of l addr in
   let base = set_base l line in
   l.clock <- l.clock + 1;
-  let rec scan i =
-    if i >= l.cfg.assoc then false
-    else if l.tags.(base + i) = line then begin
-      l.last_use.(base + i) <- l.clock;
-      true
-    end
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < l.assoc && l.tags.(base + !i) <> line do
+    incr i
+  done;
+  if !i < l.assoc then begin
+    l.last_use.(base + !i) <- l.clock;
+    true
+  end
+  else false
 
 let fill (l : level) (addr : int) : unit =
-  let line = addr / l.cfg.line_words in
+  let line = line_of l addr in
   let base = set_base l line in
   l.clock <- l.clock + 1;
   (* Find an invalid way or the LRU way. *)
   let victim = ref 0 in
   let oldest = ref max_int in
   (try
-     for i = 0 to l.cfg.assoc - 1 do
+     for i = 0 to l.assoc - 1 do
        if l.tags.(base + i) = invalid then begin
          victim := i;
          raise Exit

@@ -27,6 +27,11 @@ type stats = {
 type t
 
 val create : Config.t -> t
+(** Each level's line size ([line_words]) and set count
+    ([size_words / (line_words * assoc)]) must be powers of two, so that
+    an address indexes its set with a shift and a mask.
+    @raise Invalid_argument for any other geometry, or fewer than one
+    way. *)
 
 val queue_full_backpressure : int
 (** Stall cycles charged per dropped prefetch. *)

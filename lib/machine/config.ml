@@ -5,6 +5,9 @@
    register allocator; [itanium1] approximates the real Itanium I used for
    the prefetching study. *)
 
+(* Line size and set count (size_words / (line_words * assoc)) must be
+   powers of two: Cache indexes with a shift and a mask and rejects any
+   other geometry. *)
 type cache_level = {
   size_words : int;
   line_words : int;

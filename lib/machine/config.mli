@@ -1,5 +1,9 @@
 (** EPIC machine descriptions. *)
 
+(** One cache level.  [line_words] and the set count
+    [size_words / (line_words * assoc)] must be powers of two:
+    {!Cache.create} indexes with a shift and a mask and rejects any other
+    geometry. *)
 type cache_level = {
   size_words : int;
   line_words : int;

@@ -36,32 +36,39 @@ type result = {
 
 type engine = [ `Fast | `Reference ]
 
+(* The cycle accumulator.  A one-field all-float record stores its float
+   unboxed, so an addition allocates nothing; a [float ref] would box
+   every new total. *)
+type acc = { mutable cycles : float }
+
 (* The timing model as an observer over dynamic events. *)
 let timing_observer ~(config : Config.t) ~(schedule_cycles : int array)
-    ~(cache : Cache.t) ~(predictor : Profile.Predictor.t) (cycles : float ref)
-    : Profile.Interp.observer =
+    ~(cache : Cache.t) ~(predictor : Profile.Predictor.t) (acc : acc) :
+    Profile.Interp.observer =
   let penalty = float_of_int config.Config.mispredict_penalty in
   let redirect = float_of_int config.Config.taken_branch_redirect in
   let call_overhead = config.Config.call_overhead_cycles in
   {
     Profile.Interp.block_enter =
-      (fun uid -> cycles := !cycles +. float_of_int schedule_cycles.(uid));
+      (fun uid ->
+        acc.cycles <- acc.cycles +. float_of_int schedule_cycles.(uid));
     branch =
       (fun site taken ->
-        if taken then cycles := !cycles +. redirect;
+        if taken then acc.cycles <- acc.cycles +. redirect;
         if Profile.Predictor.observe predictor ~site ~taken then
-          cycles := !cycles +. penalty);
+          acc.cycles <- acc.cycles +. penalty);
     mem =
       (fun kind addr ->
         match kind with
         | Profile.Interp.Mload ->
-          cycles := !cycles +. float_of_int (Cache.load cache addr)
+          acc.cycles <- acc.cycles +. float_of_int (Cache.load cache addr)
         | Profile.Interp.Mstore -> Cache.store cache addr
         | Profile.Interp.Mprefetch ->
-          cycles := !cycles +. float_of_int (Cache.prefetch cache addr));
+          acc.cycles <- acc.cycles +. float_of_int (Cache.prefetch cache addr));
     call =
       (fun _ ->
-        if call_overhead > 0.0 then cycles := !cycles +. call_overhead);
+        if call_overhead > 0.0 then
+          acc.cycles <- acc.cycles +. call_overhead);
   }
 
 let jittered ?noise cycles =
@@ -95,8 +102,10 @@ let run ?(engine = `Fast) ?(fuel = 30_000_000) ?(overrides = []) ?noise
   let predictor =
     Profile.Predictor.create ~n_sites:layout.Profile.Layout.n_branch_sites
   in
-  let cycles = ref 0.0 in
-  let observer = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
+  let acc = { cycles = 0.0 } in
+  let observer =
+    timing_observer ~config ~schedule_cycles ~cache ~predictor acc
+  in
   let interp =
     match engine with
     | `Fast -> Profile.Interp.run
@@ -104,7 +113,7 @@ let run ?(engine = `Fast) ?(fuel = 30_000_000) ?(overrides = []) ?noise
   in
   let res = interp ~observer ~fuel ~overrides layout in
   assemble
-    ~cycles:(jittered ?noise !cycles)
+    ~cycles:(jittered ?noise acc.cycles)
     ~output:res.Profile.Interp.output
     ~dynamic_instrs:res.Profile.Interp.steps ~predictor ~cache
 
@@ -120,8 +129,10 @@ let run_traced ?(fuel = 30_000_000) ?(overrides = []) ?max_trace_events
   let predictor =
     Profile.Predictor.create ~n_sites:layout.Profile.Layout.n_branch_sites
   in
-  let cycles = ref 0.0 in
-  let timing = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
+  let acc = { cycles = 0.0 } in
+  let timing =
+    timing_observer ~config ~schedule_cycles ~cache ~predictor acc
+  in
   let tr =
     Trace.create ?max_events:max_trace_events
       ~n_blocks:layout.Profile.Layout.n_blocks
@@ -131,7 +142,7 @@ let run_traced ?(fuel = 30_000_000) ?(overrides = []) ?max_trace_events
   let res = Profile.Interp.run ~observer ~fuel ~overrides layout in
   Trace.finish tr res;
   let result =
-    assemble ~cycles:!cycles ~output:res.Profile.Interp.output
+    assemble ~cycles:acc.cycles ~output:res.Profile.Interp.output
       ~dynamic_instrs:res.Profile.Interp.steps ~predictor ~cache
   in
   (result, if Trace.complete tr then Some tr else None)
@@ -149,8 +160,10 @@ let replay ~(config : Config.t) ~(schedule_cycles : int array) (tr : Trace.t) :
     invalid_arg "Simulate.replay: schedule_cycles too short";
   let cache = Cache.create config in
   let predictor = Profile.Predictor.create ~n_sites:tr.Trace.n_branch_sites in
-  let cycles = ref 0.0 in
-  let observer = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
+  let acc = { cycles = 0.0 } in
+  let observer =
+    timing_observer ~config ~schedule_cycles ~cache ~predictor acc
+  in
   Trace.replay tr observer;
-  assemble ~cycles:!cycles ~output:tr.Trace.output
+  assemble ~cycles:acc.cycles ~output:tr.Trace.output
     ~dynamic_instrs:tr.Trace.steps ~predictor ~cache

@@ -62,17 +62,17 @@ type state = {
   mutable poll : int;  (* block entries until the next token check *)
 }
 
-let ( .%() ) m a =
+let[@inline] ( .%() ) (m : float array) a =
   if a < 0 || a >= Array.length m then
     raise (Trap (Printf.sprintf "memory access out of bounds: %d" a))
   else m.(a)
 
-let ( .%()<- ) m a v =
+let[@inline] ( .%()<- ) (m : float array) a v =
   if a < 0 || a >= Array.length m then
     raise (Trap (Printf.sprintf "memory store out of bounds: %d" a))
   else m.(a) <- v
 
-let eval_ibin op a b =
+let[@inline] eval_ibin op a b =
   match op with
   | Ir.Types.Add -> a + b
   | Ir.Types.Sub -> a - b
@@ -85,7 +85,9 @@ let eval_ibin op a b =
   | Ir.Types.Shl -> a lsl (b land 63)
   | Ir.Types.Shr -> a asr (b land 63)
 
-let eval_icmp c a b =
+(* Monomorphic on purpose: a polymorphic compare would call into the
+   runtime's generic comparison on every integer compare. *)
+let[@inline] eval_icmp c (a : int) (b : int) =
   match c with
   | Ir.Types.Ceq -> a = b
   | Ir.Types.Cne -> a <> b
@@ -94,7 +96,7 @@ let eval_icmp c a b =
   | Ir.Types.Cgt -> a > b
   | Ir.Types.Cge -> a >= b
 
-let eval_fcmp c (a : float) (b : float) =
+let[@inline] eval_fcmp c (a : float) (b : float) =
   match c with
   | Ir.Types.Ceq -> a = b
   | Ir.Types.Cne -> a <> b
@@ -103,7 +105,7 @@ let eval_fcmp c (a : float) (b : float) =
   | Ir.Types.Cgt -> a > b
   | Ir.Types.Cge -> a >= b
 
-let eval_fbin op a b =
+let[@inline] eval_fbin op a b =
   match op with
   | Ir.Types.Fadd -> a +. b
   | Ir.Types.Fsub -> a -. b
@@ -278,6 +280,17 @@ let rec exec_func (st : state) (pf : Layout.pfunc) (args : float array) : float
   run_block 0;
   !return_value
 
+(* Operand reads of the fast engine over [Layout]'s int slots: a
+   register, or the complement of an index into the block's constants.
+   Inlined, so a read is an array load and its float is never boxed. *)
+let[@inline] rd (regs : float array) (consts : float array) o =
+  if o >= 0 then regs.(o) else consts.(lnot o)
+let[@inline] rdi regs consts o = int_of_float (rd regs consts o)
+
+let[@inline] daddr regs consts (a : Layout.daddr) =
+  a.Layout.dframe + rdi regs consts a.Layout.dbase
+  + rdi regs consts a.Layout.doffset
+
 (* Fast engine: executes the pre-decoded mirror that [Layout.prepare]
    builds.  Must stay observably bit-identical to [exec_func] above —
    same register/predicate/memory updates, same observer event order,
@@ -287,13 +300,9 @@ let rec exec_fast (st : state) (pf : Layout.pfunc) (args : float array) : float
   let regs = Array.make (max 1 pf.Layout.n_regs) 0.0 in
   let preds = Array.make (max 1 pf.Layout.n_preds) false in
   preds.(Ir.Types.p_true) <- true;
-  Array.iteri (fun i v -> regs.(i + 1) <- v) args;
-  let ev = function
-    | Ir.Types.Reg r -> regs.(r)
-    | Ir.Types.Imm k -> float_of_int k
-    | Ir.Types.Fimm f -> f
-  in
-  let evi o = int_of_float (ev o) in
+  for i = 0 to Array.length args - 1 do
+    regs.(i + 1) <- args.(i)
+  done;
   let return_value = ref 0.0 in
   let bi = ref 0 in
   let running = ref true in
@@ -311,6 +320,7 @@ let rec exec_fast (st : state) (pf : Layout.pfunc) (args : float array) : float
     end;
     st.obs.block_enter b.Layout.uid;
     let dinstrs = b.Layout.dinstrs and dguards = b.Layout.dguards in
+    let consts = b.Layout.dconsts in
     let n = Array.length dinstrs in
     (* Whole-block issue count, matching the tree-walking engine. *)
     st.steps <- st.steps + n;
@@ -322,68 +332,83 @@ let rec exec_fast (st : state) (pf : Layout.pfunc) (args : float array) : float
       (if preds.(dguards.(!pc)) then
          match dinstrs.(!pc) with
          | Layout.Dibin (op, d, a, bb) ->
-           regs.(d) <- float_of_int (eval_ibin op (evi a) (evi bb))
-         | Layout.Dfbin (op, d, a, bb) -> regs.(d) <- eval_fbin op (ev a) (ev bb)
+           regs.(d) <-
+             float_of_int
+               (eval_ibin op (rdi regs consts a) (rdi regs consts bb))
+         | Layout.Dfbin (op, d, a, bb) ->
+           regs.(d) <- eval_fbin op (rd regs consts a) (rd regs consts bb)
          | Layout.Dfunop (op, d, a) ->
+           let x = rd regs consts a in
            regs.(d) <-
              (match op with
-             | Ir.Types.Fneg -> -.ev a
-             | Ir.Types.Fabs -> Float.abs (ev a)
-             | Ir.Types.Fsqrt -> sqrt (Float.abs (ev a)))
+             | Ir.Types.Fneg -> -.x
+             | Ir.Types.Fabs -> Float.abs x
+             | Ir.Types.Fsqrt -> sqrt (Float.abs x))
          | Layout.Dicmp (c, d, a, bb) ->
-           regs.(d) <- (if eval_icmp c (evi a) (evi bb) then 1.0 else 0.0)
+           regs.(d) <-
+             (if eval_icmp c (rdi regs consts a) (rdi regs consts bb) then 1.0
+              else 0.0)
          | Layout.Dfcmp (c, d, a, bb) ->
-           regs.(d) <- (if eval_fcmp c (ev a) (ev bb) then 1.0 else 0.0)
-         | Layout.Dmov (d, a) -> regs.(d) <- ev a
-         | Layout.Ditof (d, a) -> regs.(d) <- ev a
-         | Layout.Dftoi (d, a) -> regs.(d) <- Float.of_int (int_of_float (ev a))
+           regs.(d) <-
+             (if eval_fcmp c (rd regs consts a) (rd regs consts bb) then 1.0
+              else 0.0)
+         | Layout.Dmov (d, a) -> regs.(d) <- rd regs consts a
+         | Layout.Dftoi (d, a) ->
+           regs.(d) <- Float.of_int (rdi regs consts a)
          | Layout.Dintrin1 (intr, d, a) ->
+           let x = rd regs consts a in
            regs.(d) <-
              (match intr with
-             | Ir.Types.Isin -> sin (ev a)
-             | Ir.Types.Icos -> cos (ev a)
-             | Ir.Types.Iexp -> exp (Float.min (ev a) 700.0)
-             | Ir.Types.Ilog ->
-               let x = ev a in
-               if x <= 0.0 then 0.0 else log x
+             | Ir.Types.Isin -> sin x
+             | Ir.Types.Icos -> cos x
+             | Ir.Types.Iexp -> exp (Float.min x 700.0)
+             | Ir.Types.Ilog -> if x <= 0.0 then 0.0 else log x
              | _ -> raise (Trap "intrinsic arity mismatch"))
          | Layout.Dintrin2 (intr, d, a, bb) ->
            regs.(d) <-
              (match intr with
              | Ir.Types.Imin ->
-               float_of_int (min (int_of_float (ev a)) (int_of_float (ev bb)))
+               float_of_int
+                 (Int.min (rdi regs consts a) (rdi regs consts bb))
              | Ir.Types.Imax ->
-               float_of_int (max (int_of_float (ev a)) (int_of_float (ev bb)))
-             | Ir.Types.Ifmin -> Float.min (ev a) (ev bb)
-             | Ir.Types.Ifmax -> Float.max (ev a) (ev bb)
+               float_of_int
+                 (Int.max (rdi regs consts a) (rdi regs consts bb))
+             | Ir.Types.Ifmin ->
+               Float.min (rd regs consts a) (rd regs consts bb)
+             | Ir.Types.Ifmax ->
+               Float.max (rd regs consts a) (rd regs consts bb)
              | _ -> raise (Trap "intrinsic arity mismatch"))
-         | Layout.Dgaddr (d, base) -> regs.(d) <- base
          | Layout.Dload (d, a) ->
-           let addr = a.Layout.dframe + evi a.Layout.dbase + evi a.Layout.doffset in
+           let addr = daddr regs consts a in
            st.obs.mem Mload addr;
            regs.(d) <- st.memory.%(addr)
          | Layout.Dstore (a, v) ->
-           let addr = a.Layout.dframe + evi a.Layout.dbase + evi a.Layout.doffset in
+           let addr = daddr regs consts a in
            st.obs.mem Mstore addr;
-           st.memory.%(addr) <- ev v
+           st.memory.%(addr) <- rd regs consts v
          | Layout.Dprefetch a ->
-           let addr = a.Layout.dframe + evi a.Layout.dbase + evi a.Layout.doffset in
+           let addr = daddr regs consts a in
            if addr >= 0 && addr < Array.length st.memory then
              st.obs.mem Mprefetch addr
          | Layout.Dcall (d, fi, cargs) ->
-           let argv = Array.map ev cargs in
+           let argv = Array.make (Array.length cargs) 0.0 in
+           for k = 0 to Array.length cargs - 1 do
+             argv.(k) <- rd regs consts cargs.(k)
+           done;
            st.obs.call fi;
            let res = exec_fast st st.layout.Layout.funcs.(fi) argv in
            if d >= 0 then regs.(d) <- res
-         | Layout.Demit v -> st.out_rev <- ev v :: st.out_rev
+         | Layout.Demit v -> st.out_rev <- rd regs consts v :: st.out_rev
          | Layout.Dpdef (c, pt, pf_, a, bb) ->
-           let v = eval_icmp c (evi a) (evi bb) in
+           let v = eval_icmp c (rdi regs consts a) (rdi regs consts bb) in
            preds.(pt) <- v;
            preds.(pf_) <- not v
          | Layout.Dpclear p -> preds.(p) <- false
-         | Layout.Dpset (c, p, a, bb) -> preds.(p) <- eval_icmp c (evi a) (evi bb)
+         | Layout.Dpset (c, p, a, bb) ->
+           preds.(p) <- eval_icmp c (rdi regs consts a) (rdi regs consts bb)
          | Layout.Dpor (c, p, a, bb) ->
-           if eval_icmp c (evi a) (evi bb) then preds.(p) <- true
+           if eval_icmp c (rdi regs consts a) (rdi regs consts bb) then
+             preds.(p) <- true
          | Layout.Dexit (site, target) ->
            st.obs.branch site true;
            next := target
@@ -401,14 +426,14 @@ let rec exec_fast (st : state) (pf : Layout.pfunc) (args : float array) : float
     else
       match b.Layout.term with
       | Ir.Func.Jmp _ -> bi := fst b.Layout.term_targets
-      | Ir.Func.Br (c, _, _) ->
-        let taken = ev c <> 0.0 in
+      | Ir.Func.Br _ ->
+        let taken = rd regs consts b.Layout.dterm <> 0.0 in
         st.obs.branch b.Layout.branch_site taken;
         bi :=
           (if taken then fst b.Layout.term_targets
            else snd b.Layout.term_targets)
-      | Ir.Func.Ret v ->
-        return_value := (match v with Some v -> ev v | None -> 0.0);
+      | Ir.Func.Ret _ ->
+        return_value := rd regs consts b.Layout.dterm;
         running := false
   done;
   !return_value

@@ -13,35 +13,41 @@
    exit-site scan — is resolved once at prepare time.  Name-resolution
    failures decode to [Draise_*]/[Dtrap_arity] markers that raise the
    exact exception the reference interpreter would raise, and only when
-   the instruction actually executes under a true guard. *)
+   the instruction actually executes under a true guard.
+
+   Every operand is an int slot: [r >= 0] reads register [r], and a
+   negative slot [s] reads [dconsts.(lnot s)] of its block, where the
+   decoder stored [Imm k] as [float_of_int k] and [Fimm f] as [f] — the
+   exact values the reference interpreter computes per read.  A read is
+   then an array load with no variant match and no boxed float.  A
+   (malformed) negative register decodes to [max_int], so its read fails
+   the bounds check just as the reference engine's [regs.(r)] does. *)
 
 type daddr = {
   dframe : int;   (* pre-resolved frame base; 0 for global/unknown space *)
-  dbase : Ir.Types.operand;
-  doffset : Ir.Types.operand;
+  dbase : int;    (* operand slot *)
+  doffset : int;  (* operand slot *)
 }
 
 type dinstr =
-  | Dibin of Ir.Types.ibinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfbin of Ir.Types.fbinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfunop of Ir.Types.funop * int * Ir.Types.operand
-  | Dicmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dfcmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dmov of int * Ir.Types.operand
-  | Ditof of int * Ir.Types.operand
-  | Dftoi of int * Ir.Types.operand
-  | Dintrin1 of Ir.Types.intrinsic * int * Ir.Types.operand
-  | Dintrin2 of Ir.Types.intrinsic * int * Ir.Types.operand * Ir.Types.operand
-  | Dgaddr of int * float              (* pre-resolved global base *)
+  | Dibin of Ir.Types.ibinop * int * int * int
+  | Dfbin of Ir.Types.fbinop * int * int * int
+  | Dfunop of Ir.Types.funop * int * int
+  | Dicmp of Ir.Types.icmp * int * int * int
+  | Dfcmp of Ir.Types.icmp * int * int * int
+  | Dmov of int * int                  (* also Itof and a resolved Gaddr *)
+  | Dftoi of int * int
+  | Dintrin1 of Ir.Types.intrinsic * int * int
+  | Dintrin2 of Ir.Types.intrinsic * int * int * int
   | Dload of int * daddr
-  | Dstore of daddr * Ir.Types.operand
+  | Dstore of daddr * int
   | Dprefetch of daddr
-  | Dcall of int * int * Ir.Types.operand array  (* dest (-1: none), findex *)
-  | Demit of Ir.Types.operand
-  | Dpdef of Ir.Types.icmp * int * int * Ir.Types.operand * Ir.Types.operand
+  | Dcall of int * int * int array     (* dest (-1: none), findex, args *)
+  | Demit of int
+  | Dpdef of Ir.Types.icmp * int * int * int * int
   | Dpclear of int
-  | Dpset of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dpor of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
+  | Dpset of Ir.Types.icmp * int * int * int
+  | Dpor of Ir.Types.icmp * int * int * int
   | Dexit of int * int                 (* branch site uid, target index *)
   | Draise_notfound                    (* unknown global *)
   | Draise_invalid of string           (* unknown function/frame *)
@@ -66,6 +72,10 @@ type pblock = {
      are known. *)
   mutable dinstrs : dinstr array;
   mutable dguards : int array;
+  mutable dconsts : float array;  (* constants of the block's slots *)
+  (* Operand slot of the terminator: the [Br] condition or the [Ret]
+     value (a 0.0 constant for a bare [Ret]); unused for [Jmp]. *)
+  mutable dterm : int;
 }
 
 type pfunc = {
@@ -92,25 +102,39 @@ type t = {
     (* (func, block, -1 for terminator | instr id for exits) *)
 }
 
-(* Second prepare pass: pre-decode a block's instructions.  Needs the
-   completed [t] because frame bases, global bases and function indices
-   span the whole program. *)
+(* Second prepare pass: pre-decode a block's instructions and
+   terminator.  Needs the completed [t] because frame bases, global bases
+   and function indices span the whole program. *)
 let decode_block (t : t) (b : pblock) =
   let n = Array.length b.instrs in
+  let consts = ref [] and n_consts = ref 0 in
+  let const v =
+    consts := v :: !consts;
+    incr n_consts;
+    lnot (!n_consts - 1)
+  in
+  let slot = function
+    | Ir.Types.Reg r -> if r >= 0 then r else max_int
+    | Ir.Types.Imm k -> const (float_of_int k)
+    | Ir.Types.Fimm f -> const f
+  in
   let daddr (a : Ir.Instr.address) =
-    match a.Ir.Instr.space with
-    | Ir.Instr.Frame fname -> (
-      match Hashtbl.find_opt t.func_index fname with
-      | Some i ->
-        Ok
-          {
-            dframe = t.funcs.(i).frame_base;
-            dbase = a.Ir.Instr.base;
-            doffset = a.Ir.Instr.offset;
-          }
-      | None -> Error ("Layout.func: unknown function " ^ fname))
-    | Ir.Instr.Global _ | Ir.Instr.Unknown ->
-      Ok { dframe = 0; dbase = a.Ir.Instr.base; doffset = a.Ir.Instr.offset }
+    let frame =
+      match a.Ir.Instr.space with
+      | Ir.Instr.Frame fname -> (
+        match Hashtbl.find_opt t.func_index fname with
+        | Some i -> Ok t.funcs.(i).frame_base
+        | None -> Error ("Layout.func: unknown function " ^ fname))
+      | Ir.Instr.Global _ | Ir.Instr.Unknown -> Ok 0
+    in
+    Result.map
+      (fun dframe ->
+        {
+          dframe;
+          dbase = slot a.Ir.Instr.base;
+          doffset = slot a.Ir.Instr.offset;
+        })
+      frame
   in
   let exit_of pos =
     let rec find k =
@@ -129,47 +153,58 @@ let decode_block (t : t) (b : pblock) =
       dguards.(pos) <- i.Ir.Instr.guard;
       dinstrs.(pos) <-
         (match i.Ir.Instr.kind with
-        | Ir.Instr.Ibin (op, d, a, bb) -> Dibin (op, d, a, bb)
-        | Ir.Instr.Fbin (op, d, a, bb) -> Dfbin (op, d, a, bb)
-        | Ir.Instr.Funop (op, d, a) -> Dfunop (op, d, a)
-        | Ir.Instr.Icmp (c, d, a, bb) -> Dicmp (c, d, a, bb)
-        | Ir.Instr.Fcmp (c, d, a, bb) -> Dfcmp (c, d, a, bb)
-        | Ir.Instr.Mov (d, a) -> Dmov (d, a)
-        | Ir.Instr.Itof (d, a) -> Ditof (d, a)
-        | Ir.Instr.Ftoi (d, a) -> Dftoi (d, a)
+        | Ir.Instr.Ibin (op, d, a, bb) -> Dibin (op, d, slot a, slot bb)
+        | Ir.Instr.Fbin (op, d, a, bb) -> Dfbin (op, d, slot a, slot bb)
+        | Ir.Instr.Funop (op, d, a) -> Dfunop (op, d, slot a)
+        | Ir.Instr.Icmp (c, d, a, bb) -> Dicmp (c, d, slot a, slot bb)
+        | Ir.Instr.Fcmp (c, d, a, bb) -> Dfcmp (c, d, slot a, slot bb)
+        | Ir.Instr.Mov (d, a) | Ir.Instr.Itof (d, a) -> Dmov (d, slot a)
+        | Ir.Instr.Ftoi (d, a) -> Dftoi (d, slot a)
         | Ir.Instr.Intrin (intr, d, args) -> (
           match (intr, args) with
-          | (Ir.Types.Isin | Icos | Iexp | Ilog), [ a ] -> Dintrin1 (intr, d, a)
+          | (Ir.Types.Isin | Icos | Iexp | Ilog), [ a ] ->
+            Dintrin1 (intr, d, slot a)
           | (Ir.Types.Imin | Imax | Ifmin | Ifmax), [ a; bb ] ->
-            Dintrin2 (intr, d, a, bb)
+            Dintrin2 (intr, d, slot a, slot bb)
           | _ -> Dtrap_arity)
         | Ir.Instr.Gaddr (d, g) -> (
           match Hashtbl.find_opt t.global_base g with
-          | Some base -> Dgaddr (d, float_of_int base)
+          | Some base -> Dmov (d, const (float_of_int base))
           | None -> Draise_notfound)
         | Ir.Instr.Load (d, a) -> (
           match daddr a with Ok da -> Dload (d, da) | Error m -> Draise_invalid m)
         | Ir.Instr.Store (a, v) -> (
-          match daddr a with Ok da -> Dstore (da, v) | Error m -> Draise_invalid m)
+          match daddr a with
+          | Ok da -> Dstore (da, slot v)
+          | Error m -> Draise_invalid m)
         | Ir.Instr.Prefetch a -> (
           match daddr a with Ok da -> Dprefetch da | Error m -> Draise_invalid m)
         | Ir.Instr.Call (d, name, args, _) -> (
           match Hashtbl.find_opt t.func_index name with
           | Some fi ->
             Dcall
-              ((match d with Some d -> d | None -> -1), fi, Array.of_list args)
+              ( (match d with Some d -> d | None -> -1),
+                fi,
+                Array.of_list (List.map slot args) )
           | None -> Draise_invalid ("Layout.func: unknown function " ^ name))
-        | Ir.Instr.Emit v -> Demit v
-        | Ir.Instr.Pdef (c, pt, pf, a, bb) -> Dpdef (c, pt, pf, a, bb)
+        | Ir.Instr.Emit v -> Demit (slot v)
+        | Ir.Instr.Pdef (c, pt, pf, a, bb) -> Dpdef (c, pt, pf, slot a, slot bb)
         | Ir.Instr.Pclear p -> Dpclear p
-        | Ir.Instr.Pset (c, p, a, bb) -> Dpset (c, p, a, bb)
-        | Ir.Instr.Por (c, p, a, bb) -> Dpor (c, p, a, bb)
+        | Ir.Instr.Pset (c, p, a, bb) -> Dpset (c, p, slot a, slot bb)
+        | Ir.Instr.Por (c, p, a, bb) -> Dpor (c, p, slot a, slot bb)
         | Ir.Instr.Exit _ ->
           let site, target = exit_of pos in
           Dexit (site, target)))
     b.instrs;
+  b.dterm <-
+    (match b.term with
+    | Ir.Func.Br (c, _, _) -> slot c
+    | Ir.Func.Ret (Some v) -> slot v
+    | Ir.Func.Ret None -> const 0.0
+    | Ir.Func.Jmp _ -> 0);
   b.dinstrs <- dinstrs;
-  b.dguards <- dguards
+  b.dguards <- dguards;
+  b.dconsts <- Array.of_list (List.rev !consts)
 
 let prepare (prog : Ir.Func.program) : t =
   let global_base = Hashtbl.create 16 in
@@ -252,6 +287,8 @@ let prepare (prog : Ir.Func.program) : t =
                         Array.of_list (List.map (fun (_, _, s) -> s) exits);
                       dinstrs = [||];
                       dguards = [||];
+                      dconsts = [||];
+                      dterm = 0;
                     })
                   f.blocks)
            in

@@ -9,36 +9,41 @@
     otherwise resolve per dynamic instruction — global bases, frame
     bases, callee indices, intrinsic arity, exit sites — is folded in at
     prepare time.  Unresolvable names decode to markers that raise the
-    reference interpreter's exact exception, and only on execution. *)
+    reference interpreter's exact exception, and only on execution.
+
+    Operands are int slots: a slot [r >= 0] is register [r]; a negative
+    slot [s] is the constant [dconsts.(lnot s)] of the owning block
+    ([Imm k] stored as [float_of_int k], [Fimm f] as [f]).  A negative
+    register index decodes to [max_int], so reading it fails the same
+    bounds check as in the reference interpreter. *)
 
 type daddr = {
   dframe : int;  (** pre-resolved frame base; 0 for global/unknown space *)
-  dbase : Ir.Types.operand;
-  doffset : Ir.Types.operand;
+  dbase : int;   (** operand slot *)
+  doffset : int; (** operand slot *)
 }
 
 type dinstr =
-  | Dibin of Ir.Types.ibinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfbin of Ir.Types.fbinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfunop of Ir.Types.funop * int * Ir.Types.operand
-  | Dicmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dfcmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dmov of int * Ir.Types.operand
-  | Ditof of int * Ir.Types.operand
-  | Dftoi of int * Ir.Types.operand
-  | Dintrin1 of Ir.Types.intrinsic * int * Ir.Types.operand
-  | Dintrin2 of Ir.Types.intrinsic * int * Ir.Types.operand * Ir.Types.operand
-  | Dgaddr of int * float              (** pre-resolved global base *)
+  | Dibin of Ir.Types.ibinop * int * int * int
+  | Dfbin of Ir.Types.fbinop * int * int * int
+  | Dfunop of Ir.Types.funop * int * int
+  | Dicmp of Ir.Types.icmp * int * int * int
+  | Dfcmp of Ir.Types.icmp * int * int * int
+  | Dmov of int * int
+      (** also [Itof], and [Gaddr] with its base as a constant *)
+  | Dftoi of int * int
+  | Dintrin1 of Ir.Types.intrinsic * int * int
+  | Dintrin2 of Ir.Types.intrinsic * int * int * int
   | Dload of int * daddr
-  | Dstore of daddr * Ir.Types.operand
+  | Dstore of daddr * int
   | Dprefetch of daddr
-  | Dcall of int * int * Ir.Types.operand array
-      (** dest reg (-1: none), callee function index, args *)
-  | Demit of Ir.Types.operand
-  | Dpdef of Ir.Types.icmp * int * int * Ir.Types.operand * Ir.Types.operand
+  | Dcall of int * int * int array
+      (** dest reg (-1: none), callee function index, argument slots *)
+  | Demit of int
+  | Dpdef of Ir.Types.icmp * int * int * int * int
   | Dpclear of int
-  | Dpset of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dpor of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
+  | Dpset of Ir.Types.icmp * int * int * int
+  | Dpor of Ir.Types.icmp * int * int * int
   | Dexit of int * int                 (** branch site uid, target index *)
   | Draise_notfound                    (** unknown global *)
   | Draise_invalid of string           (** unknown function/frame *)
@@ -55,6 +60,10 @@ type pblock = {
   exit_sites : int array;             (** aligned with [exit_targets] *)
   mutable dinstrs : dinstr array;     (** pre-decoded mirror of [instrs] *)
   mutable dguards : int array;        (** guards aligned with [dinstrs] *)
+  mutable dconsts : float array;      (** constants of negative slots *)
+  mutable dterm : int;
+      (** slot of the [Br] condition or the [Ret] value (a 0.0 constant
+          for a bare [Ret]); unused for [Jmp] *)
 }
 
 type pfunc = {

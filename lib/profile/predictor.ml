@@ -18,7 +18,7 @@ let observe (t : t) ~site ~taken : bool (* mispredicted? *) =
   let mispredict = predicted_taken <> taken in
   if mispredict then t.mispredicts <- t.mispredicts + 1;
   t.counters.(site) <-
-    (if taken then min 3 (c + 1) else max 0 (c - 1));
+    (if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1));
   mispredict
 
 let mispredict_rate t =

@@ -429,6 +429,138 @@ let test_call_overhead () =
   in
   check_result "replay matches live under overhead" live replayed
 
+(* Every operand slot the decoder rewrites holds an immediate here —
+   arithmetic, compare and predicate-define operands, address base and
+   offset (global and frame space), store value, call arguments, emit, the
+   [Br] condition and the [Ret] value — including an integer above 2^53,
+   which [float_of_int] rounds.  The fast engine reads each from its
+   block's constant pool and must reproduce the reference bit for bit. *)
+let test_decoded_immediates () =
+  let mk ?(guard = Ir.Types.p_true) id kind = Ir.Instr.make ~id ~guard kind in
+  let big = (1 lsl 60) + 1 in
+  let open Ir.Types in
+  let addr ?(space = Ir.Instr.Global "g") base offset =
+    { Ir.Instr.base; offset; space; hazard = false }
+  in
+  let helper =
+    {
+      Ir.Func.fname = "helper";
+      params = [ 1; 2; 3 ];
+      blocks =
+        [
+          {
+            Ir.Func.blabel = "h";
+            instrs =
+              [
+                mk 0 (Ir.Instr.Fbin (Fadd, 4, Reg 1, Reg 2));
+                mk 1 (Ir.Instr.Fbin (Fmul, 4, Reg 4, Reg 3));
+              ];
+            term = Ir.Func.Ret (Some (Reg 4));
+          };
+        ];
+      next_reg = 5;
+      next_pred = 1;
+      next_instr = 2;
+      frame_size = 0;
+    }
+  in
+  let entry =
+    [
+      Ir.Instr.Ibin (Add, 1, Imm 7, Imm 5);
+      Ir.Instr.Ibin (Sub, 2, Imm big, Imm (1 lsl 60));
+      Ir.Instr.Ibin (Shr, 3, Imm big, Imm 7);
+      Ir.Instr.Fbin (Fmul, 4, Fimm 1.5, Imm 4);
+      Ir.Instr.Fbin (Fdiv, 5, Imm big, Fimm 0.375);
+      Ir.Instr.Funop (Fsqrt, 6, Fimm (-16.0));
+      Ir.Instr.Funop (Fneg, 7, Imm big);
+      Ir.Instr.Icmp (Clt, 8, Imm 3, Imm big);
+      Ir.Instr.Fcmp (Cge, 9, Fimm 2.5, Imm 2);
+      Ir.Instr.Mov (10, Fimm 0.1);
+      Ir.Instr.Itof (11, Imm big);
+      Ir.Instr.Ftoi (12, Fimm (-3.75));
+      Ir.Instr.Intrin (Imax, 13, [ Imm big; Imm 5 ]);
+      Ir.Instr.Intrin (Isin, 14, [ Fimm 0.5 ]);
+      Ir.Instr.Intrin (Ifmin, 15, [ Imm 9; Fimm 8.5 ]);
+      Ir.Instr.Gaddr (16, "g");
+      Ir.Instr.Store (addr (Imm 3) (Imm 2), Fimm 4.25);
+      Ir.Instr.Store (addr (Reg 16) (Fimm 1.9), Imm big);
+      Ir.Instr.Store (addr ~space:(Ir.Instr.Frame "main") (Imm 0) (Imm 1),
+                      Fimm 7.5);
+      Ir.Instr.Load (17, addr (Imm 2) (Fimm 3.0));
+      Ir.Instr.Load
+        (18, addr ~space:(Ir.Instr.Frame "main") (Fimm 1.0) (Imm 0));
+      Ir.Instr.Load (19, addr (Imm 0) (Imm 1));
+      Ir.Instr.Prefetch (addr (Imm 0) (Imm 8));
+      Ir.Instr.Call (Some 20, "helper", [ Imm 4; Fimm 0.25; Imm big ],
+                     Ir.Instr.Impure);
+      Ir.Instr.Pdef (Ceq, 1, 2, Imm big, Fimm (float_of_int big));
+      Ir.Instr.Pset (Cne, 3, Imm 2, Fimm 1.75);
+      Ir.Instr.Por (Cgt, 4, Imm big, Imm 2);
+      Ir.Instr.Emit (Imm big);
+      Ir.Instr.Emit (Fimm 1e-3);
+    ]
+  in
+  let guarded =
+    [ (1, 111); (2, 222); (3, 333); (4, 444) ]
+    |> List.map (fun (g, v) -> (g, Ir.Instr.Emit (Imm v)))
+  in
+  let emits = List.init 20 (fun r -> Ir.Instr.Emit (Reg (r + 1))) in
+  let instrs =
+    List.mapi
+      (fun id (guard, kind) -> mk ~guard id kind)
+      (List.map (fun k -> (p_true, k)) entry
+      @ guarded
+      @ List.map (fun k -> (p_true, k)) emits)
+  in
+  let block blabel instrs term = { Ir.Func.blabel; instrs; term } in
+  let main =
+    {
+      Ir.Func.fname = "main";
+      params = [];
+      blocks =
+        [
+          block "entry" instrs (Ir.Func.Br (Imm big, "t", "f"));
+          block "t" [] (Ir.Func.Br (Fimm 0.0, "f", "u"));
+          block "u" [] (Ir.Func.Ret (Some (Imm big)));
+          block "f" [] (Ir.Func.Ret (Some (Fimm 2.5)));
+        ];
+      next_reg = 21;
+      next_pred = 5;
+      next_instr = List.length instrs;
+      frame_size = 2;
+    }
+  in
+  let prog =
+    {
+      Ir.Func.funcs = [ main; helper ];
+      globals = [ { Ir.Func.gname = "g"; gsize = 16; ginit = [||] } ];
+      main = "main";
+    }
+  in
+  Ir.Validate.check_exn prog;
+  let layout = Profile.Layout.prepare prog in
+  let fast = Profile.Interp.run layout in
+  let reference = Profile.Interp.run_reference layout in
+  Alcotest.(check (list int64))
+    "output bits"
+    (List.map Int64.bits_of_float reference.Profile.Interp.output)
+    (List.map Int64.bits_of_float fast.Profile.Interp.output);
+  Alcotest.(check int)
+    "guards 1, 3 and 4 hold" (2 + 3 + 20)
+    (List.length fast.Profile.Interp.output);
+  check_bits "return value" reference.Profile.Interp.return_value
+    fast.Profile.Interp.return_value;
+  check_bits "returned the Imm above 2^53" (float_of_int big)
+    fast.Profile.Interp.return_value;
+  let schedule_cycles =
+    Array.init layout.Profile.Layout.n_blocks (fun uid -> uid + 2)
+  in
+  let sim engine =
+    Machine.Simulate.run ~engine ~config:Machine.Config.itanium1
+      ~schedule_cycles layout
+  in
+  check_result "decoded immediates" (sim `Fast) (sim `Reference)
+
 let suite =
   [
     Alcotest.test_case "fast engine bit-identical across studies" `Slow
@@ -450,4 +582,6 @@ let suite =
       test_uid_schedule_lengths;
     Alcotest.test_case "call overhead charged per dynamic call" `Slow
       test_call_overhead;
+    Alcotest.test_case "decoded immediates bit-identical" `Quick
+      test_decoded_immediates;
   ]

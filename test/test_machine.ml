@@ -130,6 +130,23 @@ let simulate_src ?(config = cfg) src =
   in
   Machine.Simulate.run ~config ~schedule_cycles:sc layout
 
+(* Indexing is a shift and a mask, so a level whose line size or set
+   count is not a power of two is rejected when the cache is built. *)
+let test_cache_rejects_non_pow2 () =
+  let l2 = cfg.Machine.Config.l2 in
+  let rejects what (level : Machine.Config.cache_level) =
+    match Machine.Cache.create { cfg with Machine.Config.l2 = level } with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "12-word lines" { l2 with Machine.Config.line_words = 12 };
+  rejects "24 sets" { l2 with Machine.Config.size_words = 24 * 8 * 8 };
+  rejects "no ways" { l2 with Machine.Config.assoc = 0 };
+  List.iter
+    (fun (m : Machine.Config.t) -> ignore (Machine.Cache.create m))
+    Machine.Config.
+      [ table3; table3_regalloc; table3_narrow; itanium1; itanium_small_l2 ]
+
 (* A wild access below address 0 is the interpreter's to reject: the
    cache model sees the address first (the observer runs before the
    bounds check) and must stay total, so every path that executes the
@@ -301,6 +318,8 @@ let suite =
       test_predictor_2bit_hysteresis;
     Alcotest.test_case "alternating branches mispredict" `Quick
       test_predictor_alternating_is_hard;
+    Alcotest.test_case "non-power-of-two geometry rejected" `Quick
+      test_cache_rejects_non_pow2;
     Alcotest.test_case "negative addresses trap, not crash" `Quick
       test_negative_address_traps;
     Alcotest.test_case "simulation is deterministic" `Quick

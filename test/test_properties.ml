@@ -98,40 +98,86 @@ module Ref_cache = struct
     l.contents.(set) <- line :: kept
 end
 
+(* The reference model of a whole hierarchy: [access addr] returns the
+   stall a load of [addr] sees and counts the level that served it in
+   [hits] (L1, L2, L3, memory), as [Cache]'s stats count loads and stores
+   alike. *)
+let ref_hierarchy (cfg : Machine.Config.t) =
+  let levels =
+    Array.map Ref_cache.make Machine.Config.[| cfg.l1; cfg.l2; cfg.l3 |]
+  in
+  let latency =
+    Machine.Config.
+      [| cfg.l1.extra_latency; cfg.l2.extra_latency; cfg.l3.extra_latency;
+         cfg.memory_extra_latency |]
+  in
+  let hits = Array.make 4 0 in
+  let access addr =
+    let rec find k =
+      if k = 3 || Ref_cache.probe levels.(k) addr then k else find (k + 1)
+    in
+    let k = find 0 in
+    for j = 0 to k - 1 do
+      Ref_cache.fill levels.(j) addr
+    done;
+    hits.(k) <- hits.(k) + 1;
+    latency.(k)
+  in
+  (access, hits)
+
+(* All three levels of the stock machines.  On [itanium1] and
+   [itanium_small_l2] loads and stores interleave, and an access is
+   [low + k * 2^18]: [k] picks one of eight lines that share an
+   [itanium1] L3 set (16384 sets of 16 words span 2^18 words, 4 ways),
+   and [low] spreads over enough L1 and L2 sets to conflict there too, so
+   every level sees hits, evictions and misses.  [table3] gets loads
+   below 0xFFFF, the stream this property started with. *)
 let qcheck_cache_matches_reference =
   QCheck.Test.make ~name:"L1 behaviour = reference MRU-list model" ~count:60
-    QCheck.(pair small_int (list (int_range 0 4096)))
-    (fun (salt, addrs) ->
-      let cfg = Machine.Config.table3 in
-      let cache = Machine.Cache.create cfg in
-      let l1ref = Ref_cache.make cfg.Machine.Config.l1 in
-      let l2ref = Ref_cache.make cfg.Machine.Config.l2 in
-      let l3ref = Ref_cache.make cfg.Machine.Config.l3 in
+    QCheck.(
+      pair small_int
+        (list_of_size (Gen.int_range 50 400)
+           (triple bool (int_range 0 7) (int_range 0 8191))))
+    (fun (salt, accesses) ->
+      let table3_addr (_, k, low) =
+        (false, ((k * 8192) + low) * (1 + (salt mod 7)) land 0xFFFF)
+      in
+      let mixed_addr (is_store, k, low) = (is_store, low + (k lsl 18)) in
       List.for_all
-        (fun a ->
-          let addr = (a * (1 + (salt mod 7))) land 0xFFFF in
-          let stall = Machine.Cache.load cache addr in
-          let expected =
-            if Ref_cache.probe l1ref addr then
-              cfg.Machine.Config.l1.Machine.Config.extra_latency
-            else if Ref_cache.probe l2ref addr then begin
-              Ref_cache.fill l1ref addr;
-              cfg.Machine.Config.l2.Machine.Config.extra_latency
-            end
-            else if Ref_cache.probe l3ref addr then begin
-              Ref_cache.fill l1ref addr;
-              Ref_cache.fill l2ref addr;
-              cfg.Machine.Config.l3.Machine.Config.extra_latency
-            end
-            else begin
-              Ref_cache.fill l1ref addr;
-              Ref_cache.fill l2ref addr;
-              Ref_cache.fill l3ref addr;
-              cfg.Machine.Config.memory_extra_latency
-            end
+        (fun ((cfg : Machine.Config.t), addr_of) ->
+          let cache = Machine.Cache.create cfg in
+          let access, hits = ref_hierarchy cfg in
+          let stores = ref 0 and stalls = ref 0 in
+          let same =
+            List.for_all
+              (fun a ->
+                let is_store, addr = addr_of a in
+                let want = access addr in
+                if is_store then begin
+                  Machine.Cache.store cache addr;
+                  incr stores;
+                  true
+                end
+                else begin
+                  stalls := !stalls + want;
+                  Machine.Cache.load cache addr = want
+                end)
+              accesses
           in
-          stall = expected)
-        addrs)
+          let st = Machine.Cache.stats cache in
+          same
+          && st.Machine.Cache.stores = !stores
+          && st.Machine.Cache.l1_hits = hits.(0)
+          && st.Machine.Cache.l2_hits = hits.(1)
+          && st.Machine.Cache.l3_hits = hits.(2)
+          && st.Machine.Cache.memory_accesses = hits.(3)
+          && st.Machine.Cache.stall_cycles = !stalls)
+        Machine.Config.
+          [
+            (table3, table3_addr);
+            (itanium1, mixed_addr);
+            (itanium_small_l2, mixed_addr);
+          ])
 
 (* --- Dominators on random CFGs ------------------------------------------- *)
 
