@@ -469,11 +469,10 @@ let best_of n f =
 
 (* Two legs timed interleaved in 5 pairs, alternating which runs first,
    so a slow stretch of the machine lands on both legs of a pair.  Each
-   leg of a pair is the best of 3 back-to-back runs, which drops the runs
-   another process or a major GC slice interrupted.  Returns each leg's
-   median time and the median, min and max of the per-pair ratio
-   [a / b].  Gates read the median ratio; a single-shot ratio moved by
-   1.7x across identical reports. *)
+   call of [a] or [b] times one leg and returns its seconds.  Returns
+   each leg's median time and the median, min and max of the per-pair
+   ratio [a / b].  Gates read the median ratio; a single-shot ratio
+   moved by 1.7x across identical reports. *)
 type paired = {
   a_s : float;
   b_s : float;
@@ -482,15 +481,15 @@ type paired = {
   ratio_max : float;
 }
 
-let paired a b =
+let paired_legs a b =
   let legs =
     List.init 5 (fun i ->
         if i mod 2 = 0 then
-          let ta = best_of 3 a in
-          (ta, best_of 3 b)
+          let ta = a () in
+          (ta, b ())
         else
-          let tb = best_of 3 b in
-          (best_of 3 a, tb))
+          let tb = b () in
+          (a (), tb))
   in
   let median xs = List.nth (List.sort Float.compare xs) 2 in
   let ratios = List.map (fun (ta, tb) -> ta /. tb) legs in
@@ -501,6 +500,11 @@ let paired a b =
     ratio_min = List.fold_left Float.min infinity ratios;
     ratio_max = List.fold_left Float.max neg_infinity ratios;
   }
+
+(* [paired_legs] over two workloads, each leg the best of 3 back-to-back
+   runs, which drops the runs another process or a major GC slice
+   interrupted. *)
+let paired a b = paired_legs (fun () -> best_of 3 a) (fun () -> best_of 3 b)
 
 (* A paired ratio as telemetry fields: [name] (the median), [name_min]
    and [name_max]. *)
@@ -626,14 +630,37 @@ let sim_measurements p =
         ("artifact_hit_rate", Gp.Telemetry.Float hit_rate);
       ])
 
+(* Run [f] in a forked child and return its marshalled result.  The
+   child may spawn domains: the OCaml 5 runtime forbids Unix.fork in any
+   process that ever spawned one, and the parent keeps forking. *)
+let in_child (f : unit -> 'a) : 'a =
+  flush_all ();
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close rd;
+    Gp.Telemetry.set_sink None;
+    (try
+       let oc = Unix.out_channel_of_descr wr in
+       Marshal.to_channel oc (f ()) [];
+       close_out oc
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let ic = Unix.in_channel_of_descr rd in
+    let v =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> Marshal.from_channel ic)
+    in
+    ignore (Gp.Parmap.retry_eintr (fun () -> Unix.waitpid [] pid));
+    v
+
 (* Compiled genome evaluation (DESIGN.md §12): batch throughput of the
    Evalc bytecode against the Eval tree-walker on a deep expression, and
-   the domains pool against the fork pool on a heavy pure workload.  The
-   fork pool is measured FIRST: the OCaml 5 runtime forbids Unix.fork in
-   any process that ever spawned a domain, so the domains measurement
-   retires the fork backend for the rest of this process — which is also
-   why the report target runs this section last.  Returns the telemetry
-   JSON embedded in the report target. *)
+   the domains pool against the fork pool on a heavy pure workload.
+   Returns the telemetry JSON embedded in the report target. *)
 let evalc_measurements () =
   let fs = Fuzz.Genome_gen.fs in
   let rng = Random.State.make [| 0xeca1c; 7 |] in
@@ -696,8 +723,10 @@ let evalc_measurements () =
      batch, then times steady-state batches of 512 small pure tasks —
      small enough that per-task dispatch cost (the transports' real
      difference: pipe syscalls and Marshal framing for fork, an
-     in-process queue for domains) is visible next to the work.  Fork
-     first: the domains leg retires the fork backend for this process. *)
+     in-process queue for domains) is visible next to the work.  The two
+     legs are paired like the ratios above.  Each domains leg runs in a
+     forked child with its own warm pool, since spawning domains here
+     would retire the fork backend the other leg keeps using. *)
   let tasks = Array.init 512 Fun.id in
   let pool_envs = Array.sub envs 0 32 in
   let task i =
@@ -708,9 +737,10 @@ let evalc_measurements () =
     !acc
   in
   let seq_bits = Array.map (fun i -> Int64.bits_of_float (task i)) tasks in
-  let warm_pool_bits backend =
-    let pool = Gp.Parmap.pool ~backend ~jobs:4 () in
-    let h = Gp.Parmap.create pool ~f:task in
+  (* A warm pool's timed leg (best of 3 batches, with the last batch's
+     bits) and its shutdown. *)
+  let warm_pool backend =
+    let h = Gp.Parmap.create (Gp.Parmap.pool ~backend ~jobs:4 ()) ~f:task in
     let bits = ref [||] in
     let batch () =
       let outcomes, _ = Gp.Parmap.run_batch h tasks in
@@ -722,21 +752,34 @@ let evalc_measurements () =
           outcomes
     in
     batch () (* untimed warm-up: spawns the resident workers *);
-    let t = best_of 3 batch in
-    Gp.Parmap.shutdown h;
-    (t, !bits)
+    ((fun () -> (best_of 3 batch, !bits)), fun () -> Gp.Parmap.shutdown h)
   in
-  let t_fork = ref infinity and fork_bits = ref seq_bits in
-  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
-    let t, b = warm_pool_bits `Fork in
-    t_fork := t;
-    fork_bits := b
-  end;
-  let t_domains, domains_bits = warm_pool_bits `Domains in
-  let pools_identical = !fork_bits = seq_bits && domains_bits = seq_bits in
-  let domains_over_fork =
-    if Float.is_finite !t_fork then !t_fork /. t_domains else 0.0
+  let domains_leg () =
+    let leg, stop = warm_pool `Domains in
+    Fun.protect ~finally:stop leg
   in
+  let fork_bits = ref seq_bits and domains_bits = ref seq_bits in
+  let pools =
+    if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+      let fork_leg, stop = warm_pool `Fork in
+      Fun.protect ~finally:stop (fun () ->
+          paired_legs
+            (fun () ->
+              let t, b = fork_leg () in
+              fork_bits := b;
+              t)
+            (fun () ->
+              let t, b = in_child domains_leg in
+              domains_bits := b;
+              t))
+    end
+    else begin
+      let t, b = domains_leg () in
+      domains_bits := b;
+      { a_s = 0.0; b_s = t; ratio = 0.0; ratio_min = 0.0; ratio_max = 0.0 }
+    end
+  in
+  let pools_identical = !fork_bits = seq_bits && !domains_bits = seq_bits in
   Fmt.pr
     "  bytecode     : walker %.2f Meval/s, compiled %.2f (%.2fx, \
      %.2f-%.2f)@."
@@ -750,14 +793,14 @@ let evalc_measurements () =
     (evals /. branchy_r.b_s /. 1e6)
     branchy_r.ratio branchy_r.ratio_min branchy_r.ratio_max;
   Fmt.pr "  bit-identical: %s@." (if bit_identical then "yes" else "NO!");
-  if Float.is_finite !t_fork then
+  if pools.a_s > 0.0 then
     Fmt.pr
       "  pools (warm) : fork %.3fs/batch, domains %.3fs/batch (domains \
-       %.2fx)@."
-      !t_fork t_domains domains_over_fork
+       %.2fx, %.2f-%.2f)@."
+      pools.a_s pools.b_s pools.ratio pools.ratio_min pools.ratio_max
   else
     Fmt.pr "  pools (warm) : fork unavailable, domains %.3fs/batch@."
-      t_domains;
+      pools.b_s;
   Fmt.pr "  pool results : %s@."
     (if pools_identical then "identical across backends" else "DIVERGENT!");
   Gp.Telemetry.Obj
@@ -770,13 +813,11 @@ let evalc_measurements () =
     @ ratio_fields "branchy_speedup" branchy_r
     @ [
         ("bit_identical", Gp.Telemetry.Bool bit_identical);
-        ( "fork_s",
-          Gp.Telemetry.Float
-            (if Float.is_finite !t_fork then !t_fork else 0.0) );
-        ("domains_s", Gp.Telemetry.Float t_domains);
-        ("domains_over_fork", Gp.Telemetry.Float domains_over_fork);
-        ("pools_identical", Gp.Telemetry.Bool pools_identical);
-      ])
+        ("fork_s", Gp.Telemetry.Float pools.a_s);
+        ("domains_s", Gp.Telemetry.Float pools.b_s);
+      ]
+    @ ratio_fields "domains_over_fork" pools
+    @ [ ("pools_identical", Gp.Telemetry.Bool pools_identical) ])
 
 let evalc () =
   hr "Compiled genome evaluation: Evalc bytecode + domains/fork pools";
@@ -859,8 +900,8 @@ let report () =
   let ph_sim, sim_doc =
     phase "sim fast paths" (fun () -> sim_measurements p)
   in
-  (* last on purpose: the domains measurement retires the fork backend
-     for this process, and every phase above relies on fork pools *)
+  (* last: where fork is unavailable the domains pool runs in this
+     process, and every phase above relies on fork pools *)
   Fmt.pr "  compiled evaluation:@.";
   let ph_evalc, evalc_doc =
     phase "compiled eval" (fun () -> evalc_measurements ())
@@ -1087,7 +1128,7 @@ let report () =
           "compiled_speedup"; "compiled_speedup_min"; "compiled_speedup_max";
           "branchy_speedup"; "branchy_speedup_min"; "branchy_speedup_max";
           "bit_identical"; "fork_s"; "domains_s"; "domains_over_fork";
-          "pools_identical";
+          "domains_over_fork_min"; "domains_over_fork_max"; "pools_identical";
         ]
     | _ -> fail "evalc not an object"));
   Fmt.pr

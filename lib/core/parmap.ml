@@ -314,6 +314,22 @@ type stats = {
    as a truncated buffer at EOF. *)
 type 'b reply = Value of 'b | Raised of string
 
+type 'e share = { learned : unit -> 'e list; absorb : 'e list -> unit }
+
+(* A share as the fork pool carries it: opaque packets, each one reply's
+   worth of entries, marshalled once by the worker that learned them and
+   forwarded verbatim to the others.  [take] returns [""] when the worker
+   learned nothing, so a reply without news costs a few bytes. *)
+type packets = { take : unit -> string; give : string -> unit }
+
+let packets_of (s : 'e share) =
+  {
+    take =
+      (fun () ->
+        match s.learned () with [] -> "" | es -> Marshal.to_string es []);
+    give = (fun p -> s.absorb (Marshal.from_string p 0 : 'e list));
+  }
+
 let insert_delayed ((t, _, _) as entry) l =
   let rec go = function
     | [] -> [ entry ]
@@ -932,18 +948,25 @@ let domains_batch (st : ('a, 'b) dom_state) (xs : 'a array) =
 
 (* One pre-forked worker per slot, kept alive across batches on a pair
    of pipes: the parent marshals a length-prefixed [(task ids, attempt,
-   inputs)] chunk down the task pipe, the child streams back one framed
-   [(task, reply)] per member and blocks reading the next chunk.  At
-   most one chunk is ever in flight per slot, members reply strictly in
-   chunk order, so the parent frames replies with [Marshal.header_size]
-   / [Marshal.data_size] out of a per-slot buffer and resets the slot's
-   per-task deadline after every member — a chunk never widens any one
-   task's deadline.  A worker that dies (crash, chaos kill, SIGKILL on
+   inputs, packets)] chunk down the task pipe, the child streams back
+   one framed [(task, reply, packet)] per member and blocks reading the
+   next chunk.  At most one chunk is ever in flight per slot, members
+   reply strictly in chunk order, so the parent frames replies with
+   [Marshal.header_size] / [Marshal.data_size] out of a per-slot buffer
+   and resets the slot's per-task deadline after every member — a chunk
+   never widens any one task's deadline.  A worker that dies (crash, chaos kill, SIGKILL on
    deadline) is reaped and its slot respawned without disturbing the
    rest of the pool — warm state in the surviving children (decoded
    layouts, simulation caches) stays resident; the dead chunk's
    finished members keep their results, its unfinished tail is
-   re-enqueued as uncharged singletons. *)
+   re-enqueued as uncharged singletons.
+
+   The packets carry the pool's share, if any: a reply's packet is what
+   its worker learned since its previous reply ([""] when nothing, and
+   always without a share).  The parent absorbs it and appends it to the
+   pool's journal; each slot's [s_seen] counts the journal packets its
+   worker already has, and the next chunk sent to the slot carries the
+   rest.  A respawned slot starts from 0. *)
 type fslot = {
   mutable s_pid : int;
   mutable s_to : Unix.file_descr; (* parent -> child task pipe *)
@@ -957,6 +980,7 @@ type fslot = {
   mutable s_dup : bool; (* chunk involved in a steal *)
   mutable s_deadline : float; (* absolute; [infinity] when no timeout *)
   mutable s_last : float; (* dispatch / latest-reply time, absolute *)
+  mutable s_seen : int; (* journal packets the worker already has *)
 }
 
 type ('a, 'b) fork_state = {
@@ -970,6 +994,9 @@ type ('a, 'b) fork_state = {
   k_cmin : int;
   k_cmax : int;
   mutable k_ewma : float; (* per-task cost estimate, seconds *)
+  k_share : packets option;
+  mutable k_journal : string list; (* packets received, newest first *)
+  mutable k_journal_len : int;
 }
 
 (* The parent writes to task pipes whose child may have died; without
@@ -1013,18 +1040,24 @@ let close_slot_fds slot =
       try Unix.close fd with Unix.Unix_error _ -> ())
     [ slot.s_to; slot.s_from ]
 
-(* The worker loop run in each forked child: read one chunk, evaluate
-   its members in order streaming one flushed reply each — so the parent
-   sees progress (and can reset the deadline) per task, not per chunk —
-   repeat until the parent closes the task pipe. *)
-let fork_child_loop (type a b) (f : a -> b) rd wr =
+(* The worker loop run in each forked child: read one chunk, absorb the
+   share packets riding on it, evaluate its members in order streaming
+   one flushed reply each — so the parent sees progress (and can reset
+   the deadline) per task, not per chunk — repeat until the parent
+   closes the task pipe. *)
+let fork_child_loop (type a b) (f : a -> b) share rd wr =
   let ic = Unix.in_channel_of_descr rd in
   let oc = Unix.out_channel_of_descr wr in
+  let take () = match share with Some s -> s.take () | None -> "" in
+  (* What the worker inherited through fork is the parent's, not news. *)
+  ignore (take ());
   (try
      while true do
-       let (tasks, attempt, inputs) : int array * int * a array =
+       let (tasks, attempt, inputs, packets)
+             : int array * int * a array * string list =
          Marshal.from_channel ic
        in
+       Option.iter (fun s -> List.iter s.give packets) share;
        Array.iteri
          (fun k task ->
            let reply : b reply =
@@ -1035,7 +1068,7 @@ let fork_child_loop (type a b) (f : a -> b) rd wr =
              | v -> Value v
              | exception e -> Raised (Printexc.to_string e)
            in
-           Marshal.to_channel oc (task, reply) [];
+           Marshal.to_channel oc (task, reply, take ()) [];
            flush oc)
          tasks
      done
@@ -1069,7 +1102,7 @@ let fork_spawn_into st slot =
     Hashtbl.iter
       (fun fd () -> try Unix.close fd with Unix.Unix_error _ -> ())
       live_fds;
-    fork_child_loop st.k_f t_r r_w
+    fork_child_loop st.k_f st.k_share t_r r_w
   | pid ->
     Unix.close t_r;
     Unix.close r_w;
@@ -1085,9 +1118,10 @@ let fork_spawn_into st slot =
     slot.s_done <- 0;
     slot.s_dup <- false;
     slot.s_deadline <- infinity;
-    slot.s_last <- 0.0
+    slot.s_last <- 0.0;
+    slot.s_seen <- 0
 
-let init_fork (p : pool) f =
+let init_fork (p : pool) f share =
   ignore_sigpipe ();
   let fresh_slot () =
     {
@@ -1103,6 +1137,7 @@ let init_fork (p : pool) f =
       s_dup = false;
       s_deadline = infinity;
       s_last = 0.0;
+      s_seen = 0;
     }
   in
   let st =
@@ -1117,6 +1152,9 @@ let init_fork (p : pool) f =
       k_cmin = p.chunk_min;
       k_cmax = p.chunk_max;
       k_ewma = seed_ewma ();
+      k_share = share;
+      k_journal = [];
+      k_journal_len = 0;
     }
   in
   let tel = Telemetry.enabled () in
@@ -1178,6 +1216,13 @@ let shutdown_fork st =
         ("wall_s", Telemetry.Float (Telemetry.now_s () -. t_start));
       ]
   end
+
+(* The journal packets past the first [seen], oldest first. *)
+let journal_since st seen =
+  let rec take k l acc =
+    match l with p :: tl when k > 0 -> take (k - 1) tl (p :: acc) | _ -> acc
+  in
+  take (st.k_journal_len - seen) st.k_journal []
 
 let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
   let n = Array.length xs in
@@ -1255,9 +1300,9 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
       decr remaining
     end
   in
-  (* Extract one framed [(task, reply)] from the slot's buffer, if
+  (* Extract one framed [(task, reply, packet)] from the slot's buffer, if
      complete. *)
-  let try_extract_reply slot : (int * 'b reply) option =
+  let try_extract_reply slot : (int * 'b reply * string) option =
     let len = Buffer.length slot.s_buf in
     if len < Marshal.header_size then None
     else begin
@@ -1266,7 +1311,7 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
       if len < total then None
       else begin
         let data = Bytes.of_string (Buffer.contents slot.s_buf) in
-        let v = (Marshal.from_bytes data 0 : int * 'b reply) in
+        let v = (Marshal.from_bytes data 0 : int * 'b reply * string) in
         Buffer.clear slot.s_buf;
         if len > total then Buffer.add_subbytes slot.s_buf data total (len - total);
         Some v
@@ -1287,8 +1332,23 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
       busy := !busy +. d
     end
   in
-  let handle_reply slot (task, reply) =
+  (* Absorb a reply's packet and journal it for the other slots.  The
+     worker that sent it already knows it: a slot that had every earlier
+     packet stays caught up. *)
+  let note_packet slot packet =
+    match st.k_share with
+    | Some sh when packet <> "" ->
+      sh.give packet;
+      let caught_up = slot.s_seen = st.k_journal_len in
+      st.k_journal <- packet :: st.k_journal;
+      st.k_journal_len <- st.k_journal_len + 1;
+      if caught_up then slot.s_seen <- st.k_journal_len
+    | _ -> ()
+  in
+  let handle_reply slot (task, reply, packet) =
     note_event slot;
+    (* A stale copy's measurements are as good as the winner's. *)
+    note_packet slot packet;
     slot.s_done <- slot.s_done + 1;
     if slot.s_done >= Array.length slot.s_tasks then begin
       slot.s_busy <- false;
@@ -1350,9 +1410,12 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
   let rec dispatch slot ((tasks, attempt, enq) as job) ~tries =
     let inputs = Array.map (fun t -> xs.(t)) tasks in
     let t0 = now () in
-    let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
+    let msg =
+      Marshal.to_bytes (tasks, attempt, inputs, journal_since st slot.s_seen) []
+    in
     match write_all slot.s_to msg with
     | () ->
+      slot.s_seen <- st.k_journal_len;
       let t = now () in
       dispatch_s := !dispatch_s +. (t -. t0);
       if tel then begin
@@ -1625,11 +1688,19 @@ type ('a, 'b) impl =
 type ('a, 'b) handle = {
   h_pool : pool;
   h_f : 'a -> 'b;
+  h_share : packets option;
   mutable h_impl : ('a, 'b) impl;
   mutable h_closed : bool;
 }
 
-let create pool ~f = { h_pool = pool; h_f = f; h_impl = Uninit; h_closed = false }
+let create ?share pool ~f =
+  {
+    h_pool = pool;
+    h_f = f;
+    h_share = Option.map packets_of share;
+    h_impl = Uninit;
+    h_closed = false;
+  }
 
 (* Workers are spawned lazily on the first batch, not at [create]: a
    handle for a study that never evaluates costs nothing, a [`Domains]
@@ -1641,7 +1712,7 @@ let init_impl h =
   | `Seq -> Inproc
   | `Domains -> Domained (init_domains h.h_pool h.h_f)
   | `Fork ->
-    if fork_usable () then Forked (init_fork h.h_pool h.h_f)
+    if fork_usable () then Forked (init_fork h.h_pool h.h_f h.h_share)
     else begin
       if available then warn_fork_after_domains ();
       Inproc
@@ -1669,10 +1740,10 @@ let shutdown h =
     h.h_impl <- Uninit
   end
 
-let run_supervised pool f xs =
+let run_supervised ?share pool f xs =
   if Array.length xs = 0 then ([||], empty_stats)
   else begin
-    let h = create pool ~f in
+    let h = create ?share pool ~f in
     Fun.protect ~finally:(fun () -> shutdown h) (fun () -> run_batch h xs)
   end
 

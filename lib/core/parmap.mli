@@ -167,6 +167,25 @@ type stats = {
   quarantined : int;
 }
 
+(** What a pool's workers may tell each other: a side channel for state
+    the task function builds up and every worker could reuse — finished
+    simulations, say — that must reach the others without changing any
+    result.  [learned ()] runs in a worker and returns what it learned
+    since the previous call; [absorb es] takes such entries in, in the
+    parent and in the other workers.
+
+    Only [`Fork] calls them: its workers have private heaps.  Each reply
+    frame carries what its worker [learned] since its last reply; the
+    parent [absorb]s it and keeps it in an append-only journal, each
+    slot keeps a cursor into that journal, and every chunk sent to a
+    slot carries the entries its worker has not seen (all of them for a
+    respawned slot).  A freshly forked worker calls [learned] once and
+    drops the answer, since what it inherited is the parent's.  [`Seq]
+    and [`Domains] tasks share one heap and never call either function.
+    Entries must be marshalable, and absorbing one must not change any
+    task's value, only how fast it is computed. *)
+type 'e share = { learned : unit -> 'e list; absorb : 'e list -> unit }
+
 type ('a, 'b) handle
 (** A long-lived worker pool bound to one task function.  Creating a
     handle is free; the workers are spawned lazily on the first
@@ -182,8 +201,9 @@ type ('a, 'b) handle
     disturbing the rest of the pool.  Handles are not thread-safe and
     {!run_batch} is not reentrant; drive one batch at a time. *)
 
-val create : pool -> f:('a -> 'b) -> ('a, 'b) handle
-(** [create pool ~f] binds a pool configuration to a task function.  No
+val create : ?share:'e share -> pool -> f:('a -> 'b) -> ('a, 'b) handle
+(** [create ?share pool ~f] binds a pool configuration to a task
+    function, with [share] as its workers' side channel.  No
     worker exists until the first {!run_batch}; the spawn cost is then
     recorded once under [parmap.pool_spawn_s] instead of polluting the
     queue-wait histogram.  On [`Fork], [f] is captured by the workers at
@@ -208,8 +228,8 @@ val shutdown : ('a, 'b) handle -> unit
     Idempotent; a fresh handle must be created to evaluate again. *)
 
 val run_supervised :
-  pool -> ('a -> 'b) -> 'a array -> 'b outcome array * stats
-(** [run_supervised pool f xs] evaluates every task under the pool's
+  ?share:'e share -> pool -> ('a -> 'b) -> 'a array -> 'b outcome array * stats
+(** [run_supervised ?share pool f xs] evaluates every task under the pool's
     fault model and returns typed outcomes in input order; no fallback
     value is ever invented.  Equivalent to {!create}, one {!run_batch}
     and a {!shutdown} — callers with more than one batch should hold a

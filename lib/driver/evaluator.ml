@@ -34,7 +34,6 @@ type remote =
 
 type t = {
   backend : Gp.Parmap.backend;
-  pool : Gp.Parmap.pool;
   jobs : int;
   timeout_s : float option;
   retries : int;
@@ -49,6 +48,7 @@ type t = {
      batch and reused for the engine's lifetime — the warm state its
      workers accumulate (decoded layouts, simulation caches) is the
      whole point of keeping it alive between batches. *)
+  new_handle : unit -> (Gp.Expr.genome * string * int, float) Gp.Parmap.handle;
   mutable handle :
     (Gp.Expr.genome * string * int, float) Gp.Parmap.handle option;
   mutable evaluations : int;
@@ -80,8 +80,8 @@ let digest_key t key case =
 
 let create ?(backend = `Fork) ?(jobs = 1) ?cache_dir
     ?(cache_shards = Shardstore.default_shards) ?timeout_s ?(retries = 1)
-    ?chunk_target_ms ?chunk_min ?chunk_max ?remote ~fs ~scope ~case_name ~eval
-    () =
+    ?chunk_target_ms ?chunk_min ?chunk_max ?share ?remote ~fs ~scope
+    ~case_name ~eval () =
   if jobs < 1 then
     invalid_arg
       (Printf.sprintf
@@ -97,7 +97,6 @@ let create ?(backend = `Fork) ?(jobs = 1) ?cache_dir
   in
   {
     backend;
-    pool;
     jobs;
     timeout_s;
     retries = max 0 retries;
@@ -108,6 +107,9 @@ let create ?(backend = `Fork) ?(jobs = 1) ?cache_dir
     eval;
     memo = Hashtbl.create 4096;
     store;
+    new_handle =
+      (fun () ->
+        Gp.Parmap.create ?share pool ~f:(fun (cg, _, case) -> eval cg case));
     handle = None;
     evaluations = 0;
     f_crashed = 0;
@@ -287,9 +289,7 @@ let evaluate_batch t genomes ~cases =
       match t.handle with
       | Some h -> h
       | None ->
-        let h =
-          Gp.Parmap.create t.pool ~f:(fun (cg, _, case) -> t.eval cg case)
-        in
+        let h = t.new_handle () in
         t.handle <- Some h;
         h
     in

@@ -112,6 +112,7 @@ val create :
   ?chunk_target_ms:float ->
   ?chunk_min:int ->
   ?chunk_max:int ->
+  ?share:'e Gp.Parmap.share ->
   ?remote:remote ->
   fs:Gp.Feature_set.t ->
   scope:string ->
@@ -137,7 +138,9 @@ val create :
     evaluation is re-run on a fresh worker before being abandoned.
     [chunk_target_ms] / [chunk_min] / [chunk_max] tune the pool's
     adaptive chunked dispatch (see {!Gp.Parmap.pool}); defaults are the
-    pool's own.
+    pool's own.  [share] is handed to the pool as its workers' side
+    channel (see {!Gp.Parmap.share}); {!Study} passes its simulation
+    cache's, so fork workers reuse each other's finished simulations.
     Results are sanitized: non-finite or negative values score 0.  With
     [jobs <= 1] and no [timeout_s] (or [`Seq]), evaluation is sequential
     in-process (side effects of [eval] remain observable; a raising

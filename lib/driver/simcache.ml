@@ -37,14 +37,18 @@
    rewrites the program — the program is part of the trace key, so
    those studies never replay.  Only the scheduling study records.
 
-   In a forked worker pool the tables fill in the parent and are
-   inherited read-only through fork; worker-side inserts die with the
-   worker.  The baselines are measured before the evaluation pools fork,
-   possibly in a throwaway pool of their own; each measurement comes
-   back with its artifact key and the parent [import]s it, so every
-   evaluation worker starts with the baseline artifacts in its table.
-   Hit rates drop but results cannot diverge, so bit-identity holds at
-   any -j.
+   In a forked worker pool each worker has its own tables, so finished
+   artifacts travel through the pool's share channel ([share]): a worker
+   [export]s what it measured since its last reply, the parent
+   [absorb]s it — counting it in [stats], and counting a key it already
+   had as a duplicate — and forwards it to the other workers, which
+   absorb it too.  An artifact key fixes the noise-free result, so an
+   absorbed entry is exactly what a local simulation would have stored,
+   and bit-identity holds at any -j.  Only full simulations and replays
+   are exported, never absorbed entries or trace arrays.  A process
+   starts collecting its own measurements the first time it is asked
+   for them, so a cache nothing exports from (the sequential path, a
+   domains pool, the parent of a fork pool) keeps no export list.
 
    In a domains pool the tables are shared memory, so every table and
    stats access goes through one mutex.  Simulation and replay run
@@ -57,7 +61,14 @@ type stats = {
   mutable replays : int;
   mutable simulations : int;  (* full interpreter runs *)
   mutable traced : int;  (* of which recorded their event stream *)
+  mutable duplicates : int;  (* absorbed entries whose key was known *)
 }
+
+type origin = Simulated | Replayed
+
+(* One finished measurement as workers share it: the artifact key, how
+   the result was obtained, and the noise-free result. *)
+type entry = string * origin * Machine.Simulate.result
 
 type t = {
   enabled : bool;
@@ -68,7 +79,9 @@ type t = {
   traces : (string, Machine.Trace.t) Hashtbl.t;
   mutable trace_order : string list;  (* newest first, for eviction *)
   stats : stats;
-  lock : Mutex.t;  (* guards the tables, trace_order and stats *)
+  mutable exporting : bool;  (* collect own measurements into [fresh] *)
+  mutable fresh : entry list;  (* newest first, since the last export *)
+  lock : Mutex.t;  (* guards everything mutable above *)
 }
 
 let locked t f =
@@ -85,7 +98,16 @@ let create ?(enabled = true) ?(max_artifacts = 8192) ?(max_traces = 8)
     artifacts = Hashtbl.create 256;
     traces = Hashtbl.create 8;
     trace_order = [];
-    stats = { artifact_hits = 0; replays = 0; simulations = 0; traced = 0 };
+    stats =
+      {
+        artifact_hits = 0;
+        replays = 0;
+        simulations = 0;
+        traced = 0;
+        duplicates = 0;
+      };
+    exporting = false;
+    fresh = [];
     lock = Mutex.create ();
   }
 
@@ -192,22 +214,46 @@ let store_artifact t key res =
     Hashtbl.reset t.artifacts;
   Hashtbl.replace t.artifacts key res
 
-let import t key res = locked t (fun () -> store_artifact t key res)
+(* Store a result this process measured, and collect it for export. *)
+let store_own t key origin res =
+  store_artifact t key res;
+  if t.exporting then t.fresh <- (key, origin, res) :: t.fresh
 
-(* One noise-free measurement of a compiled artifact and its artifact
-   key, through the fast paths when enabled; with [enabled = false] every
-   call is a fresh reference-engine simulation (the golden slow path)
-   and there is no key. *)
-let simulate_keyed (t : t) ~(machine : Machine.Config.t)
+let export t =
+  locked t (fun () ->
+      t.exporting <- true;
+      let es = List.rev t.fresh in
+      t.fresh <- [];
+      es)
+
+let absorb t (entries : entry list) =
+  locked t (fun () ->
+      List.iter
+        (fun (key, origin, res) ->
+          (match origin with
+          | Simulated ->
+            t.stats.simulations <- t.stats.simulations + 1;
+            if t.max_traces > 0 then t.stats.traced <- t.stats.traced + 1
+          | Replayed -> t.stats.replays <- t.stats.replays + 1);
+          if Hashtbl.mem t.artifacts key then
+            t.stats.duplicates <- t.stats.duplicates + 1
+          else store_artifact t key res)
+        entries)
+
+let share t = { Gp.Parmap.learned = (fun () -> export t); absorb = absorb t }
+
+(* One noise-free measurement of a compiled artifact, through the fast
+   paths when enabled; with [enabled = false] every call is a fresh
+   reference-engine simulation (the golden slow path). *)
+let simulate (t : t) ~(machine : Machine.Config.t)
     ~(dataset : Benchmarks.Bench.dataset) (p : Compiler.prepared)
-    (c : Compiler.compiled) : string option * Machine.Simulate.result =
+    (c : Compiler.compiled) : Machine.Simulate.result =
   let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
   if not t.enabled then
-    ( None,
-      Gp.Telemetry.span "study.simulate_s" (fun () ->
-          Machine.Simulate.run ~engine:`Reference ~config:machine
-            ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
-            c.Compiler.layout) )
+    Gp.Telemetry.span "study.simulate_s" (fun () ->
+        Machine.Simulate.run ~engine:`Reference ~config:machine
+          ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
+          c.Compiler.layout)
   else begin
     let tk = trace_key ~dataset p c in
     let ak = artifact_key ~machine tk c.Compiler.schedule_cycles in
@@ -229,40 +275,34 @@ let simulate_keyed (t : t) ~(machine : Machine.Config.t)
               if t.max_traces > 0 then t.stats.traced <- t.stats.traced + 1;
               `Miss))
     in
-    let res =
-      match hit with
-      | `Artifact res ->
-        Gp.Telemetry.incr "evaluator.artifact_hits";
-        res
-      | `Trace tr ->
-        Gp.Telemetry.incr "study.replayed";
-        let res =
-          Gp.Telemetry.span "study.replay_s" (fun () ->
-              Machine.Simulate.replay ~config:machine
-                ~schedule_cycles:c.Compiler.schedule_cycles tr)
-        in
-        locked t (fun () -> store_artifact t ak res);
-        res
-      | `Miss ->
-        let res, tr =
-          Gp.Telemetry.span "study.simulate_s" (fun () ->
-              let schedule_cycles = c.Compiler.schedule_cycles in
-              if t.max_traces = 0 then
-                ( Machine.Simulate.run ~config:machine ~schedule_cycles
-                    ~overrides c.Compiler.layout,
-                  None )
-              else
-                Machine.Simulate.run_traced ~config:machine
-                  ?max_trace_events:t.max_trace_events ~schedule_cycles
-                  ~overrides c.Compiler.layout)
-        in
-        locked t (fun () ->
-            Option.iter (store_trace t tk) tr;
-            store_artifact t ak res);
-        res
-    in
-    (Some ak, res)
+    match hit with
+    | `Artifact res ->
+      Gp.Telemetry.incr "evaluator.artifact_hits";
+      res
+    | `Trace tr ->
+      Gp.Telemetry.incr "study.replayed";
+      let res =
+        Gp.Telemetry.span "study.replay_s" (fun () ->
+            Machine.Simulate.replay ~config:machine
+              ~schedule_cycles:c.Compiler.schedule_cycles tr)
+      in
+      locked t (fun () -> store_own t ak Replayed res);
+      res
+    | `Miss ->
+      let res, tr =
+        Gp.Telemetry.span "study.simulate_s" (fun () ->
+            let schedule_cycles = c.Compiler.schedule_cycles in
+            if t.max_traces = 0 then
+              ( Machine.Simulate.run ~config:machine ~schedule_cycles
+                  ~overrides c.Compiler.layout,
+                None )
+            else
+              Machine.Simulate.run_traced ~config:machine
+                ?max_trace_events:t.max_trace_events ~schedule_cycles
+                ~overrides c.Compiler.layout)
+      in
+      locked t (fun () ->
+          Option.iter (store_trace t tk) tr;
+          store_own t ak Simulated res);
+      res
   end
-
-let simulate t ~machine ~dataset p c =
-  snd (simulate_keyed t ~machine ~dataset p c)

@@ -11,11 +11,19 @@
     return bit-identical cycles and checksums to a fresh simulation;
     noise is never stored — layer {!Machine.Simulate.jittered} on top. *)
 
+(** What this cache did and, in the parent of a fork pool, what its
+    workers reported: [simulations] and [replays] count those received
+    through {!share} as well as local ones, and [duplicates] counts the
+    received entries whose key was already in the table (two workers
+    measured the same artifact), so [simulations - duplicates] is the
+    number of distinct artifacts simulated, as under [`Seq].
+    [artifact_hits] stays local. *)
 type stats = {
   mutable artifact_hits : int;
   mutable replays : int;
   mutable simulations : int;  (** full interpreter runs *)
   mutable traced : int;  (** of which recorded their event stream *)
+  mutable duplicates : int;  (** absorbed entries whose key was known *)
 }
 
 type t
@@ -65,14 +73,15 @@ val simulate :
     [study.replayed] counters and records [study.simulate_s] /
     [study.replay_s] spans. *)
 
-val simulate_keyed :
-  t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
-  Compiler.prepared -> Compiler.compiled ->
-  string option * Machine.Simulate.result
-(** {!simulate}, also returning the artifact key the result is stored
-    under ([None] when the cache is disabled), for {!import}. *)
+type entry
+(** One finished noise-free measurement, keyed by its artifact and
+    tagged as a full simulation or a replay. *)
 
-val import : t -> string -> Machine.Simulate.result -> unit
-(** [import t key res] stores a result measured elsewhere — a forked
-    worker's, returned with its key from {!simulate_keyed} — exactly as
-    a local simulation would have.  Counts nothing in {!stats}. *)
+val share : t -> entry Gp.Parmap.share
+(** The cache as a fork pool's side channel (see {!Gp.Parmap.share}).
+    [learned] returns the full simulations and replays this process ran
+    since the previous call; the first call starts the collection, so a
+    cache that is never asked keeps nothing.  [absorb] stores each entry
+    under its key exactly as the local simulation would have, counts it
+    in {!stats} as a simulation or a replay, and counts it as a
+    duplicate instead of storing it when the key is already known. *)

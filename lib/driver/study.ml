@@ -206,29 +206,20 @@ let noise_rng_of kind genome case =
    operations the direct simulation would perform — so sharing is sound
    under noise and a candidate whose artifact equals the baseline's
    scores speedup exactly 1.0 in the noise-free studies. *)
-let measure ?(compiled_eval = true) ~kind ~machine
+let run_raw ?(compiled_eval = true) ~kind ~machine
     ~(prepared : Compiler.prepared array) ~(sim : Simcache.t)
     (g : Gp.Expr.genome) ~case ~(dataset : Benchmarks.Bench.dataset) :
-    string option * Machine.Simulate.result =
+    float * int =
   let p = prepared.(case) in
   let compiled =
     Gp.Telemetry.span "study.compile_s" (fun () ->
         Compiler.compile ~compiled_eval ~machine
           ~heuristics:(heuristics_with kind g) p)
   in
-  Simcache.simulate_keyed sim ~machine ~dataset p compiled
-
-(* A noise-free result as the study observes it: cycles with the
-   (genome, case) jitter, and the output checksum. *)
-let observed ~kind g ~case (res : Machine.Simulate.result) : float * int =
+  let res = Simcache.simulate sim ~machine ~dataset p compiled in
   let noise = noise_rng_of kind g case in
   ( Machine.Simulate.jittered ?noise res.Machine.Simulate.cycles,
     res.Machine.Simulate.checksum )
-
-let run_raw ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset =
-  observed ~kind g ~case
-    (snd
-       (measure ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset))
 
 (* Speedup over a precomputed baseline.  A candidate whose compiled
    program produces different output than the baseline is a
@@ -373,49 +364,42 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
           })
       cfg.remote
   in
-  (* In served mode this process does no candidate evaluation, so the
-     baselines (cheap, one genome) are computed sequentially rather
-     than spinning up a local pool just for them. *)
+  let share = Simcache.share sim in
+  (* Both datasets' baselines in one batch, parallel and supervised like
+     any other unless this process evaluates nothing itself (served
+     mode) or runs one job.  Under [`Fork] each measurement reaches
+     [sim] through the share channel, so the evaluation pools, which
+     fork after this, start with every baseline artifact in their
+     workers' tables.  A failed cell (worker crash, deadline) is
+     recomputed here because baselines must exist. *)
   let baseline_pool =
-    match remote_h with
-    | Some _ -> Gp.Parmap.pool ~backend:`Seq ~jobs:1 ()
-    | None -> Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ()
+    if Option.is_some remote_h || cfg.jobs <= 1 then
+      Gp.Parmap.pool ~backend:`Seq ()
+    else
+      Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs
+        ?timeout_s:cfg.timeout_s ~retries:cfg.retries ()
   in
-  let baseline_for dataset =
-    (* Parallel like any other batch.  Each cell returns its result with
-       its artifact key, and the parent imports it: the evaluation pools
-       fork after this, so their workers inherit every baseline artifact
-       instead of re-simulating it.  (Under [`Seq] and [`Domains] the
-       table is this one and the import stores an equal value.)  A failed
-       cell (worker crash) is recomputed here because baselines must
-       exist. *)
-    let cells =
-      Gp.Parmap.run baseline_pool ~fallback:None
-        (fun case ->
-          Some
-            (measure ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-               ~dataset))
-        (Array.init (Array.length prepared) Fun.id)
-    in
+  let n = Array.length prepared in
+  let cells =
+    Array.init (2 * n) (fun i ->
+        if i < n then (Benchmarks.Bench.Train, i)
+        else (Benchmarks.Bench.Novel, i - n))
+  in
+  let measure_base (dataset, case) =
+    run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case ~dataset
+  in
+  let baselines =
     Array.mapi
-      (fun case cell ->
-        let res =
-          match cell with
-          | Some (key, res) ->
-            Option.iter (fun key -> Simcache.import sim key res) key;
-            res
-          | None ->
-            snd
-              (measure ~compiled_eval ~kind ~machine ~prepared ~sim base
-                 ~case ~dataset)
-        in
-        observed ~kind base ~case res)
-      cells
+      (fun i -> function
+        | Gp.Parmap.Ok v -> v
+        | Gp.Parmap.Crashed _ | Gp.Parmap.Timed_out | Gp.Parmap.Gave_up ->
+          measure_base cells.(i))
+      (fst (Gp.Parmap.run_supervised ~share baseline_pool measure_base cells))
   in
-  let baseline_train = baseline_for Benchmarks.Bench.Train in
-  let baseline_novel = baseline_for Benchmarks.Bench.Novel in
+  let baseline_train = Array.sub baselines 0 n in
+  let baseline_novel = Array.sub baselines n n in
   let evaluator_for baselines dataset =
-    Evaluator.create ~backend:cfg.backend ~jobs:cfg.jobs
+    Evaluator.create ~backend:cfg.backend ~jobs:cfg.jobs ~share
       ?cache_dir:(if remote_h = None then cfg.cache_dir else None)
       ~cache_shards:cfg.cache_shards ?timeout_s:cfg.timeout_s
       ~retries:cfg.retries ?chunk_target_ms:cfg.chunk_target_ms
@@ -579,6 +563,8 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
         ("replayed", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.replays);
         ( "simulations",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.simulations );
+        ( "duplicates",
+          Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.duplicates );
         ("traced", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.traced);
         ("best_fitness", Gp.Telemetry.Float best_fitness);
         ("best_expr", Gp.Telemetry.String best_expr);

@@ -144,9 +144,10 @@ type context = {
 
 val create_with : config -> kind -> string list -> context
 (** Prepare the named benchmarks, compile + simulate the baseline on both
-    datasets (over the configured pool, importing each result into
-    [sim] so the evaluators' fork workers inherit it), and build one
-    cached batch evaluator per dataset.  Each evaluator keeps a persistent worker pool
+    datasets (one batch over the configured pool; fork workers send
+    each result to [sim] through {!Simcache.share}, so the evaluators'
+    fork workers inherit it), and build one cached batch evaluator per
+    dataset, whose pools share finished simulations the same way.  Each evaluator keeps a persistent worker pool
     alive across its batches (spawned lazily on first use); callers that
     build a context directly own its lifetime and should {!close} it —
     the [_with] experiment drivers below do so on every exit path.  [timeout_s] and [retries] configure the

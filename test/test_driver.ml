@@ -332,11 +332,12 @@ let test_heuristics_file_rejects_garbage () =
       | exception Driver.Heuristics_file.Bad_file _ -> ())
 
 (* Under the fork backend the baselines are measured in forked children;
-   their results come home with their artifact keys and land in the
-   parent's simulation cache before any evaluation pool forks.  So in
-   the parent the baseline genome is an artifact hit for every case and
-   dataset, no simulation runs, and the baselines equal a sequential
-   context's bit for bit. *)
+   their results come home through the pool's share channel and land in
+   the parent's simulation cache before any evaluation pool forks.  The
+   parent counts each reported simulation once, exactly as many as the
+   sequential context ran itself.  Then the baseline genome is an
+   artifact hit in the parent for every case and dataset, no simulation
+   runs, and the baselines equal a sequential context's bit for bit. *)
 let test_fork_baselines_inherited () =
   let benches = [ "codrle4"; "decodrle4" ] in
   List.iter
@@ -367,10 +368,11 @@ let test_fork_baselines_inherited () =
             (bits seq.Driver.Study.baseline_novel)
             (bits forked.Driver.Study.baseline_novel);
           let st = Driver.Simcache.stats forked.Driver.Study.sim in
-          if List.mem `Fork (Gp.Parmap.capabilities ()) then
-            Alcotest.(check int)
-              (name ^ ": baselines simulated in the workers, not here")
-              0 st.Driver.Simcache.simulations;
+          Alcotest.(check (pair int int))
+            (name ^ ": each baseline simulated once and reported")
+            ((Driver.Simcache.stats seq.Driver.Study.sim)
+               .Driver.Simcache.simulations, 0)
+            (st.Driver.Simcache.simulations, st.Driver.Simcache.duplicates);
           let sims = st.Driver.Simcache.simulations in
           let hits = st.Driver.Simcache.artifact_hits in
           let base = Driver.Study.baseline_genome_of kind in
@@ -390,6 +392,50 @@ let test_fork_baselines_inherited () =
             (hits + (2 * List.length benches))
             st.Driver.Simcache.artifact_hits))
     [ Driver.Study.Hyperblock_study; Driver.Study.Sched_study ]
+
+(* Two constant hyperblock priorities canonicalize to different keys
+   but compile to the same artifact on every case.  Under [`Fork -j2]
+   with chunks pinned to 1, batch 1 hands case 0 to worker 0 and case 1
+   to worker 1, and batch 2, listing the cases the other way round, hands
+   each case to the other worker.  That worker has the artifact only
+   through the pool's share channel, so batch 2 runs no simulation at
+   all: the parent's count, which includes every simulation its workers
+   report, does not move. *)
+let test_fork_no_artifact_measured_twice () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let ctx =
+      Driver.Study.create_with
+        {
+          Driver.Study.default_config with
+          Driver.Study.backend = `Fork;
+          jobs = 2;
+          chunk_min = Some 1;
+          chunk_max = Some 1;
+        }
+        Driver.Study.Hyperblock_study [ "codrle4"; "decodrle4" ]
+    in
+    Fun.protect
+      ~finally:(fun () -> Driver.Study.close ctx)
+      (fun () ->
+        let constant c = Gp.Expr.Real (Gp.Expr.Rconst c) in
+        let sims () =
+          (Driver.Simcache.stats ctx.Driver.Study.sim)
+            .Driver.Simcache.simulations
+        in
+        let eval g cases =
+          (Driver.Evaluator.evaluate_batch ctx.Driver.Study.eval_train [| g |]
+             ~cases).(0)
+        in
+        let s0 = sims () in
+        let first = eval (constant 1.0) [ 0; 1 ] in
+        let s1 = sims () in
+        Alcotest.(check int) "batch 1: one simulation per case" 2 (s1 - s0);
+        let second = eval (constant 2.0) [ 1; 0 ] in
+        Alcotest.(check int) "batch 2: no simulation" s1 (sims ());
+        Alcotest.(check (list (float 0.0))) "same artifact, same fitness"
+          (Array.to_list first)
+          [ second.(1); second.(0) ])
+  end
 
 let suite =
   [
@@ -411,6 +457,8 @@ let suite =
       test_snapshot_equals_scratch;
     Alcotest.test_case "fork workers inherit the baselines" `Quick
       test_fork_baselines_inherited;
+    Alcotest.test_case "fork workers never measure an artifact twice" `Quick
+      test_fork_no_artifact_measured_twice;
     Alcotest.test_case "heuristics file round-trip" `Quick
       test_heuristics_file_roundtrip;
     Alcotest.test_case "heuristics file partial/off" `Quick

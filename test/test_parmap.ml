@@ -927,6 +927,142 @@ let test_straggler_lone_member () =
         | l -> Alcotest.failf "%d pool records" (List.length l))
   end
 
+(* --- Share channel --------------------------------------------------------- *)
+
+(* A share over worker-local state.  A task [(x, nap)] naps, then learns
+   [x] and returns its worker's pid with the entries that worker knew
+   before the task ran: its own earlier entries and those it absorbed.
+   The parent's absorbs land in [parent_got] instead, so a respawned
+   worker can only know batch-1 entries through the journal, never
+   through fork. *)
+let sharing () =
+  let parent = Unix.getpid () in
+  let known = ref [] and fresh = ref [] in
+  let parent_got = ref [] and parent_calls = ref 0 in
+  let share =
+    {
+      Gp.Parmap.learned =
+        (fun () ->
+          if Unix.getpid () = parent then incr parent_calls;
+          let l = List.rev !fresh in
+          fresh := [];
+          l);
+      absorb =
+        (fun es ->
+          if Unix.getpid () = parent then begin
+            incr parent_calls;
+            parent_got := !parent_got @ es
+          end
+          else known := !known @ es);
+    }
+  in
+  let f (x, nap) =
+    if nap > 0.0 then Unix.sleepf nap;
+    let before = List.sort compare !known in
+    known := x :: !known;
+    fresh := x :: !fresh;
+    (Unix.getpid (), before)
+  in
+  (share, f, parent_got, parent_calls)
+
+let batch_results h xs =
+  Array.map
+    (function
+      | Gp.Parmap.Ok v -> v | _ -> Alcotest.fail "a task did not complete")
+    (fst (Gp.Parmap.run_batch h xs))
+
+let distinct_pids results =
+  List.length (List.sort_uniq compare (List.map fst (Array.to_list results)))
+
+(* Every task of batch 2 sees every entry batch 1 exported, whichever of
+   the two workers produced it; the parent absorbed each entry once.
+   Chunks are pinned to 1, so the first dispatch of each batch hands
+   one task to each worker.  A [`Seq] pool never calls the share. *)
+let test_share_reaches_every_worker () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let share, f, parent_got, _ = sharing () in
+    let pool =
+      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:0 ~chunk_min:1
+        ~chunk_max:1 ()
+    in
+    let h = Gp.Parmap.create ~share pool ~f in
+    Fun.protect
+      ~finally:(fun () -> Gp.Parmap.shutdown h)
+      (fun () ->
+        let first = batch_results h (Array.init 4 (fun x -> (x, 0.0))) in
+        Alcotest.(check int) "batch 1 ran on both workers" 2
+          (distinct_pids first);
+        Alcotest.(check (list int)) "parent absorbed each entry once"
+          [ 0; 1; 2; 3 ]
+          (List.sort compare !parent_got);
+        let second =
+          batch_results h (Array.init 4 (fun i -> (10 + i, 0.0)))
+        in
+        Alcotest.(check int) "batch 2 ran on both workers" 2
+          (distinct_pids second);
+        Array.iteri
+          (fun i (_, before) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "batch 2 task %d knows batch 1" i)
+              true
+              (List.for_all (fun e -> List.mem e before) [ 0; 1; 2; 3 ]))
+          second)
+  end;
+  let share, f, _, parent_calls = sharing () in
+  ignore
+    (Gp.Parmap.run_supervised ~share (Gp.Parmap.pool ~backend:`Seq ()) f
+       [| (0, 0.0); (1, 0.0) |]);
+  Alcotest.(check int) "seq pool never calls the share" 0 !parent_calls
+
+(* A worker killed by a chaos plan ([parmap.task:0@1=kill:9], armed
+   before the pool spawns, so it fires in both batches) is respawned
+   with cursor 0: the chunk that retries task 0 on the new worker
+   carries the whole journal.  Batch 2's tasks nap, so the surviving
+   worker is still busy when the retry is dispatched. *)
+let test_share_respawned_worker () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let share, f, _, _ = sharing () in
+    let plan =
+      {
+        Gp.Chaos.seed = 0;
+        rules =
+          [
+            {
+              Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;
+              r_key = Some 0;
+              r_attempt = Some 1;
+              r_fault = Gp.Chaos.Kill 9;
+            };
+          ];
+      }
+    in
+    let pool =
+      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:1 ~backoff_s:0.01
+        ~chunk_min:1 ~chunk_max:1 ()
+    in
+    let h = Gp.Parmap.create ~share pool ~f in
+    Fun.protect
+      ~finally:(fun () ->
+        Gp.Chaos.disarm ();
+        Gp.Parmap.shutdown h)
+      (fun () ->
+        Gp.Chaos.arm plan;
+        let first = batch_results h (Array.init 4 (fun x -> (x, 0.0))) in
+        let old_pids = List.map fst (Array.to_list first) in
+        let outcomes, stats =
+          Gp.Parmap.run_batch h [| (10, 0.3); (11, 0.3) |]
+        in
+        Alcotest.(check int) "task 0 killed once" 1 stats.Gp.Parmap.crashes;
+        match outcomes.(0) with
+        | Gp.Parmap.Ok (pid, before) ->
+          Alcotest.(check bool) "retried on a respawned worker" false
+            (List.mem pid old_pids);
+          Alcotest.(check (list int)) "its first chunk carried the journal"
+            [ 0; 1; 2; 3 ]
+            (List.filter (fun e -> e < 10) before)
+        | _ -> Alcotest.fail "task 0 not recovered")
+  end
+
 let suite =
   [
     Alcotest.test_case "ordered results" `Quick test_ordering;
@@ -961,4 +1097,8 @@ let suite =
     Alcotest.test_case "straggler: hang mid-chunk" `Quick test_straggler_hang;
     Alcotest.test_case "straggler: lone member not stolen" `Quick
       test_straggler_lone_member;
+    Alcotest.test_case "share: batch 2 sees batch 1's entries" `Quick
+      test_share_reaches_every_worker;
+    Alcotest.test_case "share: respawned worker gets the journal" `Quick
+      test_share_respawned_worker;
   ]

@@ -283,16 +283,17 @@ let test_cache_record () =
       Alcotest.(check int) "stats memo hits" 2 cs.Driver.Evaluator.memo_hits;
       Alcotest.(check int) "stats misses" 2 cs.Driver.Evaluator.misses)
 
-(* The run_summary record of a tiny sequential specialization on
-   codrle4. *)
-let run_summary ?(fast_sim = true) kind =
+(* The run_summary record of a tiny specialization on codrle4,
+   sequential unless a backend is given. *)
+let run_summary ?(fast_sim = true) ?(backend = `Seq) ?(jobs = 1) kind =
   with_memory_sink (fun records ->
       T.reset ();
       ignore
         (Driver.Study.specialize_with
            { Driver.Study.default_config with
              Driver.Study.params = Gp.Params.tiny;
-             backend = `Seq;
+             backend;
+             jobs;
              fast_sim }
            kind "codrle4");
       match
@@ -335,6 +336,28 @@ let test_run_summary_traced () =
     (count "simulations" hb > 0);
   Alcotest.(check int) "hyperblock: none traced" 0 (count "traced" hb)
 
+(* Fork workers report their simulations to the parent, which counts a
+   key it already had as a duplicate, so the fork run's distinct
+   simulations equal the sequential run's exactly.  The hyperblock study
+   records no traces, so every miss is a full simulation. *)
+let test_run_summary_fork_simulations () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let count k r =
+      match T.member k r with
+      | Some (T.Int n) -> n
+      | _ -> Alcotest.failf "%s missing" k
+    in
+    let seq = run_summary Driver.Study.Hyperblock_study in
+    let fork =
+      run_summary ~backend:`Fork ~jobs:2 Driver.Study.Hyperblock_study
+    in
+    Alcotest.(check bool) "seq simulated" true (count "simulations" seq > 0);
+    Alcotest.(check int) "seq: no duplicates" 0 (count "duplicates" seq);
+    Alcotest.(check int) "fork: simulations - duplicates = seq simulations"
+      (count "simulations" seq)
+      (count "simulations" fork - count "duplicates" fork)
+  end
+
 let suite =
   [
     Alcotest.test_case "disabled sink is a no-op" `Quick test_disabled_is_noop;
@@ -352,4 +375,6 @@ let suite =
       test_run_summary_prefix;
     Alcotest.test_case "run summary reports traced simulations" `Quick
       test_run_summary_traced;
+    Alcotest.test_case "run summary counts fork workers' simulations" `Quick
+      test_run_summary_fork_simulations;
   ]
